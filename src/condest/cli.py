@@ -17,7 +17,7 @@ from .shiftreduce import BeamConfig
 
 DATA_ERRORS = (trees.TreebankError, pcfg.EstimationError, hmm.TaggingError,
                shiftreduce.ParserError, evaluation.EvalError,
-               FileNotFoundError, OSError)
+               OSError, UnicodeDecodeError)
 
 PIPELINES = ("pcfg-mle-vs-mcle", "hmm-four-way", "sr-joint-vs-cond")
 
@@ -57,7 +57,6 @@ class ExperimentConfig:
     heldout: str = None
     test: str = None
     seed: int = 0
-    threads: int = 1
     ascent: AscentConfig = field(default_factory=AscentConfig)
     beam_thresholds: tuple = (1e-6, 1e-9)
     observed_pair_filter: bool = True
@@ -112,7 +111,6 @@ def load_config(path, check_paths=True):
             test=test,
             output_dir=exp.get("output_dir", "out"),
             seed=int(exp.get("seed", "0")),
-            threads=int(exp.get("threads", "1")),
             ascent=AscentConfig(
                 max_iters=int(pcfg_sec.get("max_iters", "200")),
                 tol=float(pcfg_sec.get("tol", "1e-6")),
@@ -429,26 +427,18 @@ def build_parser():
                     "PCFGs, bitag taggers and shift-reduce parsers.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=1,
-                        help="max worker count (results are identical for "
-                             "any value)")
-
     sp = sub.add_parser("train-pcfg")
     sp.add_argument("--train", required=True)
     sp.add_argument("--mode", choices=("mle", "mcle"), default="mle")
     sp.add_argument("--max-iters", type=int, default=200)
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("-o", "--output", required=True)
-    common(sp)
     sp.set_defaults(func=_cmd_train_pcfg)
 
     sp = sub.add_parser("parse")
     sp.add_argument("--grammar", required=True)
     sp.add_argument("--input", required=True)
     sp.add_argument("-o", "--output", required=True)
-    common(sp)
     sp.set_defaults(func=_cmd_parse)
 
     sp = sub.add_parser("train-tagger")
@@ -456,14 +446,12 @@ def build_parser():
     sp.add_argument("--heldout")
     sp.add_argument("--variant", choices=hmm.VARIANTS, default="joint")
     sp.add_argument("-o", "--output", required=True)
-    common(sp)
     sp.set_defaults(func=_cmd_train_tagger)
 
     sp = sub.add_parser("tag")
     sp.add_argument("--model", required=True)
     sp.add_argument("--input", required=True)
     sp.add_argument("-o", "--output", required=True)
-    common(sp)
     sp.set_defaults(func=_cmd_tag)
 
     sp = sub.add_parser("train-sr")
@@ -472,7 +460,6 @@ def build_parser():
     sp.add_argument("--flavor", choices=("joint", "cond"), default="joint")
     sp.add_argument("--head-rules")
     sp.add_argument("-o", "--output", required=True)
-    common(sp)
     sp.set_defaults(func=_cmd_train_sr)
 
     sp = sub.add_parser("parse-sr")
@@ -481,13 +468,11 @@ def build_parser():
     sp.add_argument("--beam", type=float, default=1e-6)
     sp.add_argument("--no-observed-pair-filter", action="store_true")
     sp.add_argument("-o", "--output", required=True)
-    common(sp)
     sp.set_defaults(func=_cmd_parse_sr)
 
     sp = sub.add_parser("eval")
     sp.add_argument("--gold", required=True)
     sp.add_argument("--pred", required=True)
-    common(sp)
     sp.set_defaults(func=_cmd_eval)
 
     sp = sub.add_parser("bootstrap")
@@ -496,14 +481,13 @@ def build_parser():
     sp.add_argument("--b", required=True)
     sp.add_argument("--iterations", type=int, default=10000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=_cmd_bootstrap)
 
     sp = sub.add_parser("experiment")
     sp.add_argument("config")
     sp.add_argument("--validate", action="store_true")
     sp.add_argument("--output-dir")
-    common(sp)
+    sp.add_argument("--seed", type=int, default=None)
     sp.set_defaults(func=_cmd_experiment)
 
     return p

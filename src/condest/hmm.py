@@ -7,19 +7,31 @@ both boundaries, so a single forward-backward pass over the tag lattice
 decodes any of them; only the per-edge factor differs.
 """
 
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import modelfile
 from .interp import CondTable, InterpolatedCondDist, fit_interpolation
 
 END = "<end>"
 UNK = "<unk>"
 UNK_THRESHOLD = 2  # words with training count below this are mapped to UNK
 
-VARIANTS = ("joint", "conditional", "joint-prevword", "joint-nextemit")
+# Each variant and the deleted-interpolation mixtures its edge factor uses.
+VARIANT_MIXTURES = {"joint": (), "conditional": ("pr0",),
+                    "joint-prevword": ("pr1",), "joint-nextemit": ("pr0",)}
+VARIANTS = tuple(VARIANT_MIXTURES)
+
+# Mixture components: (EmpiricalTables attribute, projection of the context
+# (w, t_prev)), finest last.  pr0 keys on the current word, pr1 the previous.
+MIXTURES = {
+    "pr0": (("tag_given_word", (0,)), ("trans", (1,)), ("full0", (0, 1))),
+    "pr1": (("tag_given_prevword", (0,)), ("trans", (1,)), ("full1", (0, 1))),
+}
 
 
 class TaggingError(ValueError):
@@ -80,7 +92,16 @@ class EmpiricalTables:
         self.tag_given_prevword = CondTable()  # P(T_j | W_{j-1})
         self.full0 = CondTable()               # P(T_j | W_j, T_{j-1})
         self.full1 = CondTable()               # P(T_j | W_{j-1}, T_{j-1})
-        self.tagset = ()
+
+    @functools.cached_property
+    def tagset(self):
+        """Sorted tags: every outcome of the transition table but the end
+        marker.  Read only once the tables are filled."""
+        return tuple(sorted({t for _ctx, t, _c in self.trans.items()} - {END}))
+
+    def components(self, target):
+        """The ``target`` mixture's components over these tables."""
+        return [(getattr(self, name), idx) for name, idx in MIXTURES[target]]
 
     def map_word(self, w):
         if w == END:
@@ -96,9 +117,7 @@ def collect_tables(train):
     for words, _tags in train:
         for w in words:
             tables.word_counts[w] += 1
-    tagset = set()
     for words, tags in train:
-        tagset.update(tags)
         ws = [END] + [tables.map_word(w) for w in words] + [END]
         ts = [END] + list(tags) + [END]
         for j in range(1, len(ws)):
@@ -111,7 +130,6 @@ def collect_tables(train):
             tables.tag_given_prevword.add((wp,), t)
             tables.full0.add((w, tp), t)
             tables.full1.add((wp, tp), t)
-    tables.tagset = tuple(sorted(tagset))
     return tables
 
 
@@ -137,17 +155,10 @@ def fit_deleted_interpolation(tables, heldout, target="pr0",
     """
     if not len(heldout):
         raise TaggingError("empty heldout corpus")
-    if target == "pr0":
-        components = [(tables.tag_given_word, (0,)),
-                      (tables.trans, (1,)),
-                      (tables.full0, (0, 1))]
-    elif target == "pr1":
-        components = [(tables.tag_given_prevword, (0,)),
-                      (tables.trans, (1,)),
-                      (tables.full1, (0, 1))]
-    else:
+    if target not in MIXTURES:
         raise ValueError("target must be 'pr0' or 'pr1'")
-    return fit_interpolation(components, _heldout_events(tables, heldout, target),
+    return fit_interpolation(tables.components(target),
+                             _heldout_events(tables, heldout, target),
                              max_iters=max_iters, tol=tol)
 
 
@@ -157,28 +168,23 @@ class TaggerModel:
     def __init__(self, variant, tables, pr0=None, pr1=None):
         if variant not in VARIANTS:
             raise ValueError("unknown variant %r" % (variant,))
-        if variant in ("conditional", "joint-nextemit") and pr0 is None:
-            raise ValueError("variant %r needs the pr0 mixture" % (variant,))
-        if variant == "joint-prevword" and pr1 is None:
-            raise ValueError("variant %r needs the pr1 mixture" % (variant,))
         self.variant = variant
         self.tables = tables
         self.pr0 = pr0
         self.pr1 = pr1
+        for target in VARIANT_MIXTURES[variant]:
+            if getattr(self, target) is None:
+                raise ValueError("variant %r needs the %s mixture"
+                                 % (variant, target))
 
     @classmethod
     def train(cls, variant, train, heldout=None):
         tables = collect_tables(train)
-        pr0 = pr1 = None
-        if variant in ("conditional", "joint-nextemit"):
-            if heldout is None:
-                raise TaggingError("variant %r needs heldout data" % (variant,))
-            pr0 = fit_deleted_interpolation(tables, heldout, "pr0")
-        if variant == "joint-prevword":
-            if heldout is None:
-                raise TaggingError("variant %r needs heldout data" % (variant,))
-            pr1 = fit_deleted_interpolation(tables, heldout, "pr1")
-        return cls(variant, tables, pr0=pr0, pr1=pr1)
+        needs = VARIANT_MIXTURES.get(variant, ())
+        if needs and heldout is None:
+            raise TaggingError("variant %r needs heldout data" % (variant,))
+        return cls(variant, tables, **{
+            t: fit_deleted_interpolation(tables, heldout, t) for t in needs})
 
     def edge_weight(self, wprev, w, tprev, t):
         """Position factor for the transition tprev -> t reading w (w and
@@ -313,77 +319,46 @@ def tagging_accuracy(pred, gold):
 
 
 # ---------------------------------------------------------------------------
-# Persistence: sectioned text file with count tables and per-bucket lambdas.
+# Persistence: count tables and per-bucket weights of each mixture, the
+# weights left empty for a mixture the variant does not use.
 
 _TABLE_FIELDS = ("trans", "emit", "emit_prev", "tag_given_word",
                  "tag_given_prevword", "full0", "full1")
 
+TAGGER_SCHEMA = {
+    "meta": {"variant": modelfile.one_of(*VARIANTS)},
+    "word_counts": (str, modelfile.number),
+    **{"table:" + name: (str, str, modelfile.number)
+       for name in _TABLE_FIELDS},
+    **{"lambdas:" + target: (int,) + (modelfile.number,) * len(comps)
+       for target, comps in MIXTURES.items()},
+}
+
 
 def save_tagger(model, path):
     tb = model.tables
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("[meta]\nvariant\t%s\n" % model.variant)
-        f.write("[word_counts]\n")
-        for w in sorted(tb.word_counts):
-            f.write("%s\t%.17g\n" % (w, tb.word_counts[w]))
-        for name in _TABLE_FIELDS:
-            f.write("[table:%s]\n" % name)
-            table = getattr(tb, name)
-            for ctx, out, c in sorted(table.items()):
-                f.write("%s\t%s\t%.17g\n" % (" ".join(ctx), out, c))
-        for name, mix in (("pr0", model.pr0), ("pr1", model.pr1)):
-            if mix is None:
-                continue
-            f.write("[lambdas:%s]\n" % name)
-            for b in sorted(mix.lambdas):
-                f.write("%d\t%s\n"
-                        % (b, " ".join("%.17g" % l for l in mix.lambdas[b])))
+    sections = [("meta", [("variant", model.variant)]),
+                ("word_counts", sorted(tb.word_counts.items()))]
+    sections += [("table:" + name, modelfile.table_rows(getattr(tb, name)))
+                 for name in _TABLE_FIELDS]
+    for target in MIXTURES:
+        mix = getattr(model, target)
+        lambdas = mix.lambdas if mix is not None else {}
+        sections.append(("lambdas:" + target,
+                         [(b,) + lambdas[b] for b in sorted(lambdas)]))
+    modelfile.write(path, sections)
 
 
 def load_tagger(path):
+    f = modelfile.read(path, TAGGER_SCHEMA, TaggingError)
     tables = EmpiricalTables()
-    variant = None
-    lambdas = {"pr0": None, "pr1": None}
-    section = None
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("["):
-                section = line.strip("[]")
-                if section.startswith("lambdas:"):
-                    lambdas[section.split(":", 1)[1]] = {}
-                continue
-            if section == "meta":
-                key, val = line.split("\t")
-                if key == "variant":
-                    variant = val
-            elif section == "word_counts":
-                w, c = line.split("\t")
-                tables.word_counts[w] = float(c)
-            elif section.startswith("table:"):
-                table = getattr(tables, section.split(":", 1)[1])
-                ctx, out, c = line.split("\t")
-                table.add(tuple(ctx.split(" ")), out, float(c))
-            elif section.startswith("lambdas:"):
-                b, ls = line.split("\t")
-                lambdas[section.split(":", 1)[1]][int(b)] = \
-                    tuple(float(x) for x in ls.split())
-    tagset = set()
-    for (tp,), t, _ in tables.trans.items():
-        if tp != END:
-            tagset.add(tp)
-        if t != END:
-            tagset.add(t)
-    tables.tagset = tuple(sorted(tagset))
-    pr0 = pr1 = None
-    if lambdas["pr0"] is not None:
-        pr0 = InterpolatedCondDist(
-            [(tables.tag_given_word, (0,)), (tables.trans, (1,)),
-             (tables.full0, (0, 1))], lambdas["pr0"])
-    if lambdas["pr1"] is not None:
-        pr1 = InterpolatedCondDist(
-            [(tables.tag_given_prevword, (0,)), (tables.trans, (1,)),
-             (tables.full1, (0, 1))], lambdas["pr1"])
-    return TaggerModel(variant, tables, pr0=pr0, pr1=pr1)
+    tables.word_counts.update(f["word_counts"])
+    for name in _TABLE_FIELDS:
+        modelfile.fill_table(getattr(tables, name), f["table:" + name])
+    if not tables.tagset:
+        raise TaggingError("%s: [table:trans] has no tags" % path)
+    variant = f["meta"]["variant"]
+    return TaggerModel(variant, tables, **{
+        t: InterpolatedCondDist(tables.components(t), {
+            b: tuple(ls) for b, *ls in f["lambdas:" + t]})
+        for t in VARIANT_MIXTURES[variant]})

@@ -11,11 +11,12 @@ original grammar.
 import logging
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from . import modelfile
 from .trees import Tree
 
 log = logging.getLogger(__name__)
@@ -41,6 +42,8 @@ class Pcfg:
     def __init__(self, start, theta):
         by_lhs = defaultdict(float)
         for rule, w in theta.items():
+            if not math.isfinite(w):
+                raise EstimationError("non-finite weight for %s" % (rule,))
             if w < 0:
                 raise EstimationError("negative weight for %s" % (rule,))
             if not rule.rhs:
@@ -50,8 +53,11 @@ class Pcfg:
             if abs(tot - 1.0) > NORM_TOL:
                 raise EstimationError(
                     "weights for %s sum to %.12g, not 1" % (lhs, tot))
-        # Tighten the normalization so downstream sums hold to 1e-12.
-        self.theta = {r: w / by_lhs[r.lhs] for r, w in theta.items()}
+        # Tighten the normalization so downstream sums hold to 1e-12; one
+        # already that tight is kept, so a saved grammar reloads bit for bit.
+        scale = {lhs: 1.0 if abs(tot - 1.0) <= 1e-12 else tot
+                 for lhs, tot in by_lhs.items()}
+        self.theta = {r: w / scale[r.lhs] for r, w in theta.items()}
         self.start = start
         self.nonterminals = frozenset(by_lhs)
         if start not in self.nonterminals:
@@ -508,34 +514,19 @@ def viterbi_parse(g, x):
 # ---------------------------------------------------------------------------
 # Grammar persistence.
 
+GRAMMAR_SCHEMA = {"meta": {"start": str},
+                  "rules": (str, str, modelfile.number)}  # lhs, rhs, weight
+
+
 def save_grammar(g, path):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("#start: %s\n" % g.start)
-        for rule in sorted(g.theta):
-            f.write("%s -> %s\t%.17g\n"
-                    % (rule.lhs, " ".join(rule.rhs), g.theta[rule]))
+    modelfile.write(path, [
+        ("meta", [("start", g.start)]),
+        ("rules", [(r.lhs, " ".join(r.rhs), g.theta[r])
+                   for r in sorted(g.theta)])])
 
 
 def load_grammar(path):
-    start = None
-    theta = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#start:"):
-                start = line.split(":", 1)[1].strip()
-                continue
-            if line.startswith("#"):
-                continue
-            try:
-                body, wtxt = line.rsplit("\t", 1)
-                lhs, rhs = body.split("->", 1)
-                theta[Production(lhs.strip(), tuple(rhs.split()))] = float(wtxt)
-            except ValueError:
-                raise EstimationError(
-                    "%s:%d: malformed grammar line" % (path, lineno)) from None
-    if start is None:
-        raise EstimationError("%s: missing '#start:' header" % path)
-    return Pcfg(start, theta)
+    f = modelfile.read(path, GRAMMAR_SCHEMA, EstimationError)
+    return Pcfg(f["meta"]["start"],
+                {Production(lhs, tuple(rhs.split(" "))): w
+                 for lhs, rhs, w in f["rules"]})

@@ -9,10 +9,10 @@ distribution to the allowed move set and renormalizing.
 """
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from . import modelfile
 from .interp import CondTable, InterpolatedCondDist, fit_interpolation
 from .trees import Tree, debinarize
 
@@ -126,12 +126,22 @@ class BeamConfig:
             raise ValueError("threshold must be in (0, 1]")
 
 
-class MoveModel:
-    """Move distribution with structural zeros, joint or conditional."""
+FLAVORS = ("joint", "conditional")
 
-    def __init__(self, flavor, start, joint_table, terminals, nonterminals,
-                 observed_pairs, cond_mixture=None):
-        if flavor not in ("joint", "conditional"):
+
+def _cond_components(joint_table, full_table):
+    """The conditional flavor's mixture of P(m|s1,s2) and P(m|s1,s2,w).
+    Finest component last: bucketing keys off the (s1, s2, w) count."""
+    return [(joint_table, (0, 1)), (full_table, (0, 1, 2))]
+
+
+class MoveModel:
+    """Move distribution with structural zeros, joint or conditional.  The
+    observed (s1, s2) pairs, terminals and nonterminals are the joint
+    table's contexts, shift labels and reduce labels."""
+
+    def __init__(self, flavor, start, joint_table, cond_mixture=None):
+        if flavor not in FLAVORS:
             raise ValueError("flavor must be 'joint' or 'conditional'")
         if flavor == "conditional" and cond_mixture is None:
             raise ValueError("conditional flavor needs its mixture")
@@ -139,9 +149,12 @@ class MoveModel:
         self.start = start
         self.joint_table = joint_table          # P(m | s1, s2)
         self.cond_mixture = cond_mixture        # mixes P(m|s1,s2,w), P(m|s1,s2)
-        self.terminals = frozenset(terminals)
-        self.nonterminals = frozenset(nonterminals)
-        self.observed_pairs = frozenset(observed_pairs)
+        self.observed_pairs = frozenset(joint_table.contexts())
+        moves = {m for _ctx, m, _c in joint_table.items()}
+        self.terminals = frozenset(m.label for m in moves
+                                   if m.kind == SHIFT and m.label != STAR)
+        self.nonterminals = frozenset(m.label for m in moves
+                                      if m.kind != SHIFT)
 
     def allowed(self, move, s1, s2, lookahead=None):
         """Structural constraints: moves must be applicable and the accept
@@ -156,11 +169,6 @@ class MoveModel:
         if self.flavor == "conditional":
             return move.label == lookahead
         return True
-
-    def _raw(self, move, s1, s2, lookahead):
-        if self.flavor == "joint":
-            return self.joint_table.prob((s1, s2), move)
-        return self.cond_mixture.prob((s1, s2, lookahead), move)
 
     def move_probs(self, s1, s2, lookahead=None):
         """Distribution over allowed moves in this context (renormalized
@@ -200,35 +208,16 @@ def _replay_events(t):
     return events
 
 
-def _symbol_sets(trees):
-    terminals = set()
-    nonterminals = set()
-    for t in trees:
-        stack = [t]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf():
-                terminals.add(node.label)
-            else:
-                nonterminals.add(node.label)
-                stack.extend(node.children)
-    return terminals, nonterminals
-
-
 def estimate_joint(train):
     """Relative-frequency move model P(m | s1, s2) from binarized trees."""
     trees = list(train)
     if not trees:
         raise ParserError("empty training corpus")
     table = CondTable()
-    observed = set()
     for t in trees:
         for s1, s2, _la, move in _replay_events(t):
             table.add((s1, s2), move)
-            observed.add((s1, s2))
-    terminals, nonterminals = _symbol_sets(trees)
-    return MoveModel("joint", trees[0].label, table, terminals, nonterminals,
-                     observed)
+    return MoveModel("joint", trees[0].label, table)
 
 
 def estimate_conditional(train, heldout, max_iters=100, tol=1e-7):
@@ -240,23 +229,18 @@ def estimate_conditional(train, heldout, max_iters=100, tol=1e-7):
         raise ParserError("empty training or heldout corpus")
     full = CondTable()
     coarse = CondTable()
-    observed = set()
     for t in trees:
         for s1, s2, la, move in _replay_events(t):
             full.add((s1, s2, la), move)
             coarse.add((s1, s2), move)
-            observed.add((s1, s2))
-    # finest component last: bucketing keys off the (s1, s2, w) count
-    components = [(coarse, (0, 1)), (full, (0, 1, 2))]
     events = []
     for t in held:
         for s1, s2, la, move in _replay_events(t):
             events.append(((s1, s2, la), move))
-    mixture = fit_interpolation(components, events,
+    mixture = fit_interpolation(_cond_components(coarse, full), events,
                                 max_iters=max_iters, tol=tol)
-    terminals, nonterminals = _symbol_sets(trees)
-    return MoveModel("conditional", trees[0].label, coarse, terminals,
-                     nonterminals, observed, cond_mixture=mixture)
+    return MoveModel("conditional", trees[0].label, coarse,
+                     cond_mixture=mixture)
 
 
 def parse_log_prob(model, moves, words):
@@ -405,81 +389,42 @@ def parse_corpus(model, sentences, cfg=None):
 
 
 # ---------------------------------------------------------------------------
-# Persistence.
-
-def _write_move(move):
-    return "%s %s" % (move.kind, move.label)
-
+# Persistence.  A joint model's file has empty [full] and [lambdas].
 
 def _read_move(text):
     kind, label = text.split(" ", 1)
+    if kind not in (SHIFT, REDUCE1, REDUCE2):
+        raise ValueError("unknown move kind %r" % kind)
     return Move(kind, label)
 
 
+SR_SCHEMA = {
+    "meta": {"flavor": modelfile.one_of(*FLAVORS), "start": str},
+    "joint": (str, _read_move, modelfile.number),  # s1 s2, move, count
+    "full": (str, _read_move, modelfile.number),   # s1 s2 w, move, count
+    "lambdas": (int, modelfile.number, modelfile.number),  # bucket, weights
+}
+
+
 def save_sr(model, path):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("[meta]\nflavor\t%s\nstart\t%s\n" % (model.flavor, model.start))
-        f.write("[terminals]\n")
-        for s in sorted(model.terminals):
-            f.write("%s\n" % s)
-        f.write("[nonterminals]\n")
-        for s in sorted(model.nonterminals):
-            f.write("%s\n" % s)
-        f.write("[observed_pairs]\n")
-        for s1, s2 in sorted(model.observed_pairs):
-            f.write("%s %s\n" % (s1, s2))
-        f.write("[joint]\n")
-        for ctx, move, c in sorted(model.joint_table.items()):
-            f.write("%s\t%s\t%.17g\n" % (" ".join(ctx), _write_move(move), c))
-        if model.cond_mixture is not None:
-            full = model.cond_mixture.components[1][0]
-            f.write("[full]\n")
-            for ctx, move, c in sorted(full.items()):
-                f.write("%s\t%s\t%.17g\n"
-                        % (" ".join(ctx), _write_move(move), c))
-            f.write("[lambdas]\n")
-            for b in sorted(model.cond_mixture.lambdas):
-                f.write("%d\t%s\n" % (b, " ".join(
-                    "%.17g" % l for l in model.cond_mixture.lambdas[b])))
+    full, lambdas = CondTable(), {}
+    if model.cond_mixture is not None:
+        (_joint, _), (full, _) = model.cond_mixture.components
+        lambdas = model.cond_mixture.lambdas
+    modelfile.write(path, [
+        ("meta", [("flavor", model.flavor), ("start", model.start)]),
+        ("joint", modelfile.table_rows(model.joint_table, " ".join)),
+        ("full", modelfile.table_rows(full, " ".join)),
+        ("lambdas", [(b,) + lambdas[b] for b in sorted(lambdas)])])
 
 
 def load_sr(path):
-    meta = {}
-    terminals, nonterminals, observed = set(), set(), set()
-    joint = CondTable()
-    full = CondTable()
-    lambdas = {}
-    has_cond = False
-    section = None
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("["):
-                section = line.strip("[]")
-                if section in ("full", "lambdas"):
-                    has_cond = True
-                continue
-            if section == "meta":
-                k, v = line.split("\t")
-                meta[k] = v
-            elif section == "terminals":
-                terminals.add(line)
-            elif section == "nonterminals":
-                nonterminals.add(line)
-            elif section == "observed_pairs":
-                observed.add(tuple(line.split(" ")))
-            elif section in ("joint", "full"):
-                ctx, mv, c = line.split("\t")
-                table = joint if section == "joint" else full
-                table.add(tuple(ctx.split(" ")), _read_move(mv), float(c))
-            elif section == "lambdas":
-                b, ls = line.split("\t")
-                lambdas[int(b)] = tuple(float(x) for x in ls.split())
+    f = modelfile.read(path, SR_SCHEMA, ParserError)
+    joint = modelfile.fill_table(CondTable(), f["joint"])
     mixture = None
-    if has_cond:
-        mixture = InterpolatedCondDist(
-            [(joint, (0, 1)), (full, (0, 1, 2))], lambdas)
-    return MoveModel(meta["flavor"], meta["start"], joint, terminals,
-                     nonterminals, observed, cond_mixture=mixture)
+    if f["meta"]["flavor"] == "conditional":
+        full = modelfile.fill_table(CondTable(), f["full"])
+        mixture = InterpolatedCondDist(_cond_components(joint, full), {
+            b: tuple(ls) for b, *ls in f["lambdas"]})
+    return MoveModel(f["meta"]["flavor"], f["meta"]["start"], joint,
+                     cond_mixture=mixture)

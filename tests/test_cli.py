@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from condest import cli, toydata
+from condest import cli, pcfg, toydata
 from condest.cli import (ConfigError, load_config, parse_config_text,
                          validate_config)
 from condest.trees import write_bracketed
@@ -94,6 +94,10 @@ def test_exit_codes(tmp_path):
                                           "[experiment]\n")]) == 2
     assert cli.main(["train-pcfg", "--train", "/nonexistent.mrg",
                      "-o", str(tmp_path / "g.gram")]) == 1
+    binary = tmp_path / "model.bin"
+    binary.write_bytes(b"\xff\xfe[meta]\n")
+    assert cli.main(["tag", "--model", str(binary), "--input", str(binary),
+                     "-o", str(tmp_path / "t.txt")]) == 1
 
 
 def test_pcfg_round_trip(data_dir, tmp_path, capsys):
@@ -120,7 +124,7 @@ def test_train_pcfg_mcle_mode(data_dir, tmp_path):
     assert cli.main(["train-pcfg", "--train",
                      str(data_dir / "pcfg_train.mrg"), "--mode", "mcle",
                      "--max-iters", "5", "-o", gram]) == 0
-    assert "#start: S" in open(gram).read()
+    assert pcfg.load_grammar(gram).start == "S"
 
 
 def test_tagger_round_trip(data_dir, tmp_path):
@@ -199,3 +203,83 @@ iterations = 50
         assert (out / name).exists()
     trace = [float(x) for x in (out / "cll_trace.txt").read_text().split()]
     assert trace == sorted(trace)
+
+
+# ---------------------------------------------------------------------------
+# Malformed model files: exit 1 with path:line, never a traceback.
+
+@pytest.fixture(scope="module")
+def saved_models(tmp_path_factory):
+    d = tmp_path_factory.mktemp("models")
+    toydata.write_all(str(d))
+    assert cli.main(["train-tagger", "--train", str(d / "hmm_train.tag"),
+                     "--heldout", str(d / "hmm_heldout.tag"), "--variant",
+                     "conditional", "-o", str(d / "tagger.txt")]) == 0
+    assert cli.main(["train-sr", "--train", str(d / "sr_train.mrg"),
+                     "--heldout", str(d / "sr_heldout.mrg"), "--flavor",
+                     "cond", "-o", str(d / "sr.txt")]) == 0
+    return d
+
+
+def _one_field_row(lines):
+    i = lines.index("[table:trans]") + 1
+    lines[i] = lines[i].split("\t")[0]
+    return i + 1
+
+
+def _row_before_header(lines):
+    lines.insert(0, "ka\t1")
+    return 1
+
+
+def _unknown_section(lines):
+    i = lines.index("[table:emit]")
+    lines.insert(i, "[table:nope]")
+    return i + 1
+
+
+def _repeated_section(lines):
+    lines.append("[meta]")
+    return len(lines)
+
+
+def _drop_key(key):
+    def edit(lines):
+        lines.remove(next(x for x in lines if x.startswith(key + "\t")))
+        return lines.index("[meta]") + 1
+    return edit
+
+
+def _bad_count(lines):
+    i = lines.index("[joint]") + 1
+    lines[i] = lines[i].rsplit("\t", 1)[0] + "\tx"
+    return i + 1
+
+
+def _short_lambda_row(lines):
+    i = lines.index("[lambdas:pr0]") + 1
+    lines[i] = lines[i].rsplit("\t", 1)[0]
+    return i + 1
+
+
+@pytest.mark.parametrize("model, edit", [
+    ("tagger.txt", _one_field_row),
+    ("tagger.txt", _row_before_header),
+    ("tagger.txt", _unknown_section),
+    ("tagger.txt", _repeated_section),
+    ("tagger.txt", _drop_key("variant")),
+    ("sr.txt", _drop_key("start")),
+    ("sr.txt", _bad_count),
+    ("tagger.txt", _short_lambda_row),
+], ids=["one-field-row", "row-before-header", "unknown-section",
+        "repeated-section", "no-variant", "sr-no-start", "sr-bad-count",
+        "short-lambda-row"])
+def test_malformed_model_exits_1(saved_models, tmp_path, capsys, model, edit):
+    lines = (saved_models / model).read_text().split("\n")[:-1]
+    lineno = edit(lines)
+    bad = _write(tmp_path / model, "".join(x + "\n" for x in lines))
+    sents = _write(tmp_path / "sents.txt", "ka li\n")
+    cmd = "tag" if model == "tagger.txt" else "parse-sr"
+    assert cli.main([cmd, "--model", bad, "--input", sents,
+                     "-o", str(tmp_path / "out")]) == 1
+    assert "%s:%d:" % (bad, lineno) in capsys.readouterr().err

@@ -171,6 +171,17 @@ def test_tagging_accuracy():
         tagging_accuracy([("X",)], [("X", "Y")])
 
 
+def test_load_tagger_without_tags(tmp_path):
+    path = tmp_path / "tagger.txt"
+    save_tagger(TaggerModel.train("joint", TaggedCorpus([(("a",), ("X",))])),
+                path)
+    lines = path.read_text().split("\n")
+    lines.remove("<end>\tX\t1")  # the only transition into a tag
+    path.write_text("\n".join(lines))
+    with pytest.raises(TaggingError, match="no tags"):
+        load_tagger(path)
+
+
 def test_save_load_round_trip(tmp_path):
     train, heldout, test = toydata.hmm_corpora(n_train=60, n_heldout=20,
                                                n_test=10)

@@ -1,0 +1,135 @@
+"""Property tests of the model-file codec over all three model kinds."""
+
+import io
+import os
+import tempfile
+from collections import namedtuple
+from contextlib import redirect_stderr
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from condest import cli
+from condest.hmm import (VARIANTS, TaggedCorpus, TaggerModel, TaggingError,
+                         load_tagger, save_tagger)
+from condest.pcfg import (EstimationError, estimate_mle, extract_counts,
+                          load_grammar, save_grammar)
+from condest.shiftreduce import (ParserError, estimate_conditional,
+                                 estimate_joint, load_sr, save_sr)
+from condest.trees import Corpus, tree_yield
+from oracles import random_binary_tree
+
+# Symbols as the corpus readers produce them (no whitespace), drawn to
+# include a leading "[" or "#".  No "*" (the shift-reduce stack marker) and
+# no "<" (the tagger's end marker).
+SYMBOLS = st.text(alphabet="ab[#]_", min_size=1, max_size=3)
+
+
+@st.composite
+def treebanks(draw):
+    """Binarized trees sharing one root label; returns (trees, yields)."""
+    labels = draw(st.lists(SYMBOLS, min_size=1, max_size=3, unique=True))
+    leaves = draw(st.lists(SYMBOLS, min_size=1, max_size=3, unique=True))
+    rng = draw(st.randoms(use_true_random=False))
+    trees = [random_binary_tree(
+        rng, [rng.choice(leaves) for _ in range(rng.randint(1, 4))],
+        labels=tuple(labels), root=labels[0])
+        for _ in range(rng.randint(1, 4))]
+    return Corpus(trees), [tree_yield(t) for t in trees]
+
+
+@st.composite
+def grammars(draw):
+    trees, yields = draw(treebanks())
+    return estimate_mle(extract_counts(trees)), yields
+
+
+@st.composite
+def taggers(draw):
+    sentence = st.lists(st.tuples(SYMBOLS, SYMBOLS), min_size=1, max_size=4)
+    pairs = draw(st.lists(sentence, min_size=1, max_size=4))
+    corpus = TaggedCorpus([tuple(zip(*s)) for s in pairs])
+    variant = draw(st.sampled_from(VARIANTS))
+    return (TaggerModel.train(variant, corpus, corpus),
+            [words for words, _tags in corpus])
+
+
+@st.composite
+def sr_models(draw):
+    trees, yields = draw(treebanks())
+    if draw(st.booleans()):
+        return estimate_joint(trees), yields
+    return estimate_conditional(trees, trees), yields
+
+
+Kind = namedtuple("Kind", "models save load error command")
+KINDS = {
+    "grammar": Kind(grammars(), save_grammar, load_grammar, EstimationError,
+                    "parse --grammar"),
+    "tagger": Kind(taggers(), save_tagger, load_tagger, TaggingError,
+                   "tag --model"),
+    "sr": Kind(sr_models(), save_sr, load_sr, ParserError,
+               "parse-sr --model"),
+}
+
+CODEC = settings(max_examples=60, deadline=None, derandomize=True,
+                 database=None)
+
+
+def _read(path):
+    with open(path, "rb") as f:
+        return f.read()
+
+
+@pytest.mark.parametrize("name", KINDS)
+@CODEC
+@given(data=st.data())
+def test_save_load_save_is_byte_identical(name, data):
+    kind = KINDS[name]
+    model, _sentences = data.draw(kind.models)
+    with tempfile.TemporaryDirectory() as d:
+        first, second = os.path.join(d, "a"), os.path.join(d, "b")
+        kind.save(model, first)
+        kind.save(kind.load(first), second)
+        assert _read(first) == _read(second)
+
+
+@pytest.mark.parametrize("name", KINDS)
+@CODEC
+@given(data=st.data())
+def test_corrupted_line_loads_or_exits_1(name, data):
+    """Deleting, truncating or dropping a field from any one line of a saved
+    model either leaves a loadable file or makes the CLI exit 1; nothing
+    raises out of the CLI."""
+    kind = KINDS[name]
+    model, sentences = data.draw(kind.models)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "model")
+        kind.save(model, path)
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().split("\n")[:-1]
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        op = data.draw(st.sampled_from(("delete", "truncate", "drop-field")))
+        if op == "delete":
+            del lines[i]
+        elif op == "truncate":
+            lines[i] = lines[i][:data.draw(st.integers(0, len(lines[i]) - 1))]
+        else:
+            fields = lines[i].split("\t")
+            del fields[data.draw(st.integers(0, len(fields) - 1))]
+            lines[i] = "\t".join(fields)
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("".join(line + "\n" for line in lines))
+        sents = os.path.join(d, "sents.txt")
+        with open(sents, "w", encoding="utf-8") as f:
+            f.write("".join(" ".join(words) + "\n" for words in sentences))
+        try:
+            kind.load(path)
+            loaded = True
+        except kind.error:
+            loaded = False
+        with redirect_stderr(io.StringIO()):
+            code = cli.main(kind.command.split() + [
+                path, "--input", sents, "-o", os.path.join(d, "out")])
+        assert code in (0, 1) if loaded else code == 1

@@ -243,9 +243,14 @@ def test_grammar_round_trip(tmp_path, tiny_corpus):
 
 def test_load_grammar_errors(tmp_path):
     bad = tmp_path / "bad.gram"
-    bad.write_text("S -> A A\t0.5\n")
+    bad.write_text("[meta]\n[rules]\nS\tA A\t0.5\n")
     with pytest.raises(EstimationError, match="start"):
         load_grammar(bad)
-    bad.write_text("#start: S\nS - A\n")
+    bad.write_text("[meta]\nstart\tS\n[rules]\nS - A\t1\n")
     with pytest.raises(EstimationError, match="malformed"):
         load_grammar(bad)
+    bad.write_text("[meta]\nstart\tS\n[rules]\nS\ta\tnan\n")
+    with pytest.raises(EstimationError, match="bad.gram:4"):
+        load_grammar(bad)
+    with pytest.raises(EstimationError, match="non-finite"):
+        Pcfg("S", {Production("S", ("a",)): float("nan")})
