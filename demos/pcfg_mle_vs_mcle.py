@@ -11,7 +11,7 @@ Run:  python3 demos/pcfg_mle_vs_mcle.py
 
 from condest import toydata
 from condest.evaluation import score_corpus
-from condest.pcfg import (AscentConfig, _corpus_stats, estimate_mcle,
+from condest.pcfg import (AscentConfig, corpus_stats, estimate_mcle,
                           estimate_mle, extract_counts, viterbi_parse)
 from condest.trees import tree_yield
 
@@ -33,7 +33,7 @@ print()
 print("%-16s %12s %12s" % ("(train sums)", "MLE", "MCLE"))
 rows = {}
 for name, g in (("MLE", mle), ("MCLE", mcle)):
-    tlp, marg, _ = _corpus_stats(g, train)
+    tlp, marg, _ = corpus_stats(g, train)
     rows[name] = (-tlp, -(tlp - marg), -marg)
 for i, metric in enumerate(("-log P(y)", "-log P(y|x)", "-log P(x)")):
     print("%-16s %12.4f %12.4f" % (metric, rows["MLE"][i], rows["MCLE"][i]))

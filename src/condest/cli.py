@@ -200,7 +200,7 @@ def _pipeline_pcfg(cfg, out):
     preds = {}
     stats = {}
     for name, g in (("MLE", mle), ("MCLE", mcle)):
-        tlp, marg, _ = pcfg._corpus_stats(g, train)
+        tlp, marg, _ = pcfg.corpus_stats(g, train)
         stats[name] = (-tlp, -(tlp - marg), -marg)
         pred = []
         for t in test:

@@ -6,7 +6,8 @@ tuple of field converters (each a callable that raises ValueError on bad
 text), or a dict key -> converter for a section of ``key<TAB>value`` rows
 with every key exactly once.  Every section is always present, and has at
 least two fields, so a header never contains a tab and a row always does:
-any symbol round-trips, including one that starts with ``[``.
+any symbol round-trips, including one that starts with ``[``.  A row's
+fields before its first ``number`` are its key, unique in the section.
 """
 
 import math
@@ -44,7 +45,7 @@ def read(path, schema, error):
     Every section of ``schema`` must appear once.  A defect raises
     ``error``, the owning module's exception class, prefixed ``path:line``.
     """
-    out, headers, section = {}, {}, None
+    out, headers, section, seen = {}, {}, None, {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             where = "%s:%d" % (path, lineno)
@@ -78,8 +79,12 @@ def read(path, schema, error):
                     from None
             if isinstance(section, dict):
                 section[row[0]] = row[1]
-            else:
-                section.append(row)
+                continue
+            key = (name, row[:convs.index(number)])
+            if seen.setdefault(key, lineno) != lineno:
+                raise error("%s: repeats the row of line %d: %r"
+                            % (where, seen[key], line))
+            section.append(row)
     for name, fields in schema.items():
         if name not in out:
             raise error("%s: no [%s] section" % (path, name))

@@ -10,6 +10,7 @@ original grammar.
 
 import logging
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -17,11 +18,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import modelfile
-from .trees import Tree
+from .trees import Tree, tree_yield
 
 log = logging.getLogger(__name__)
 
 NORM_TOL = 1e-6
+NEG_INF = float("-inf")
 
 
 class EstimationError(ValueError):
@@ -63,6 +65,7 @@ class Pcfg:
         if start not in self.nonterminals:
             raise EstimationError("start symbol %r has no rules" % (start,))
         self.rules = frozenset(self.theta)
+        self.source = None   # the file of a loaded grammar, for errors
         self._factored = None
 
     def is_nonterminal(self, sym):
@@ -165,70 +168,109 @@ def tree_log_prob(g, t):
 
 
 # ---------------------------------------------------------------------------
-# Left-factored unary/binary form.
+# The chart engine: one sweep per span width; chart[w, i] is the row over all
+# symbols of the span (i, i + w).  Inside rows carry a power-of-two exponent
+# per span (exact); outside is the adjoint d log Z / d inside (Eisner 2016).
+
+ZERO_EXP = -(1 << 40)   # exponent of an all-zero row: scales any term to 0
+
 
 class _FactoredGrammar:
+    """A grammar compiled once for the chart, in left-factored form.
+
+    Symbols: the sorted nonterminals (ids below ``n_nt``), the ``#``
+    intermediates of rules longer than two (below ``n_chart``), then the
+    terminals of binary rules.  Rules are index arrays in sorted-rule order;
+    ``rules`` names the rule of each binary, unary and lexical slot."""
+
     def __init__(self, g):
-        self.start = g.start
-        self.nonterminals = sorted(g.nonterminals)
-        self._nt_index = {a: i for i, a in enumerate(self.nonterminals)}
-        self.term_unary = []   # (lhs, terminal, weight, rule)
-        self.nt_unary = []     # (lhs, rhs nonterminal, weight, rule)
-        self.binary = []       # (parent sym, left sym, right sym, weight, rule|None)
-        self.intermediates = []
+        lexical, unary, binary, inter = [], [], [], []
         for ridx, (rule, w) in enumerate(sorted(g.theta.items())):
             lhs, rhs = rule
             if len(rhs) == 1:
-                if g.is_nonterminal(rhs[0]):
-                    self.nt_unary.append((lhs, rhs[0], w, rule))
-                else:
-                    self.term_unary.append((lhs, rhs[0], w, rule))
-            elif len(rhs) == 2:
-                self.binary.append((lhs, rhs[0], rhs[1], w, rule))
-            else:
-                prev = ("#", ridx, 2)
-                self.intermediates.append(prev)
-                self.binary.append((prev, rhs[0], rhs[1], 1.0, None))
-                for i in range(3, len(rhs)):
-                    sym = ("#", ridx, i)
-                    self.intermediates.append(sym)
-                    self.binary.append((sym, prev, rhs[i - 1], 1.0, None))
-                    prev = sym
-                self.binary.append((lhs, prev, rhs[-1], w, rule))
-        self.chart_symbols = set(self.nonterminals) | set(self.intermediates)
-        n = len(self.nonterminals)
-        u = np.zeros((n, n))
-        for lhs, b, w, _rule in self.nt_unary:
-            u[self._nt_index[lhs], self._nt_index[b]] += w
-        eye = np.eye(n)
+                (unary if g.is_nonterminal(rhs[0]) else lexical).append(
+                    (lhs, rhs[0], w, rule))
+                continue
+            prev = rhs[0]
+            for i in range(2, len(rhs)):
+                inter.append(("#", ridx, i))
+                binary.append((inter[-1], prev, rhs[i - 1], 1.0, None))
+                prev = inter[-1]
+            binary.append((lhs, prev, rhs[-1], w, rule))
+        nts = sorted(g.nonterminals)
+        terms = sorted({s for b in binary for s in b[1:3]}
+                       - set(nts) - set(inter))
+        self.symbols = nts + inter + terms
+        self.size, self.n_nt = len(self.symbols), len(nts)
+        self.n_chart = len(nts) + len(inter)
+        ids = {s: i for i, s in enumerate(self.symbols)}
+        self.start = ids[g.start]
+        # a word's entries: its lexical rules, or an entry onto its own id
+        lexical = sorted(lexical + [(t, t, 1.0, None) for t in terms],
+                         key=lambda r: r[1])
+        self.lexicon = {}   # word -> (start, end) of its entries
+        for k, r in enumerate(lexical):
+            self.lexicon[r[1]] = (self.lexicon.get(r[1], (k,))[0], k + 1)
+        self.rules = [r[-1] for r in binary + unary + lexical]
+        nb = len(binary)
+        self.parent, self.left, self.right, self.u_lhs, self.u_child = (
+            np.array([ids[r[f]] for r in rules], dtype=np.int64)
+            for rules, f in ((binary, 0), (binary, 1), (binary, 2),
+                             (unary, 0), (unary, 1)))
+        self.lex_lhs = np.array([ids[r[0]] for r in lexical], dtype=np.int64)
+        self.weight, self.u_weight, self.lex_weight = (
+            np.array([r[-2] for r in rules])
+            for rules in (binary, unary, lexical))
+        self.to_left = np.eye(self.size)[self.left]
+        self.to_right = np.eye(self.size)[self.right]
+        # scores take math.log, as the rule-by-rule loops always did
+        self.log_weight, self.lex_log = (
+            np.array([math.log(w) if w > 0 else NEG_INF for w in ws.tolist()])
+            for ws in (self.weight, self.lex_weight))
+        self.log_unary = [(k, ids[a], ids[b], math.log(w))
+                          for k, (a, b, w, _) in enumerate(unary, nb) if w > 0]
+        # Viterbi: each parent's rules, padded with repeats that lose ties
+        self.heads = np.array(sorted(set(self.parent.tolist())), np.int64)
+        groups = [np.flatnonzero(self.parent == h) for h in self.heads]
+        width = max(map(len, groups), default=1)
+        self.by_head = np.array(
+            [np.pad(r, (0, width - len(r)), "edge") for r in groups],
+            dtype=np.int64).reshape(-1, width)
+        u = np.zeros((self.n_nt, self.n_nt))
+        u[self.u_lhs, self.u_child] = self.u_weight
         try:
-            self._closure = np.linalg.inv(eye - u)
+            self.closure = np.linalg.inv(np.eye(self.n_nt) - u)
         except np.linalg.LinAlgError:
-            raise EstimationError("divergent unary rule cycle") from None
-        if np.any(self._closure < -1e-9):
-            raise EstimationError("unary rule cycle with unit mass")
+            self.closure = None
+        if self.closure is None or np.any(self.closure < -1e-9):
+            raise EstimationError("%sunary rule cycle with mass >= 1" % (
+                "%s: " % g.source if g.source else ""))
 
-    def close_inside(self, base):
-        """Apply unary closure to a span's {symbol: inside} dict in place."""
-        vec = np.array([base.get(a, 0.0) for a in self.nonterminals])
-        closed = self._closure @ vec
-        for a, v in zip(self.nonterminals, closed):
-            if v > 0.0:
-                base[a] = v
-
-    def close_outside(self, base):
-        vec = np.array([base.get(a, 0.0) for a in self.nonterminals])
-        closed = self._closure.T @ vec
-        for a, v in zip(self.nonterminals, closed):
-            if v > 0.0:
-                base[a] = v
+    def entries(self, x):
+        """Position and index of each lexical entry of the words of x."""
+        return np.array([(i, k) for i, t in enumerate(x) for k in range(
+            *self.lexicon.get(t, (0, 0)))], dtype=np.int64).reshape(-1, 2).T
 
 
-def _span_inside(fg, chart, sym, i, j, x):
-    if sym in fg.chart_symbols:
-        return chart[(i, j)].get(sym, 0.0)
-    # terminal symbol
-    return 1.0 if j == i + 1 and x[i] == sym else 0.0
+def _splits(chart, w):
+    """Views of the split parts of the width-w spans: left[d - 1, i] is (i,
+    i + d), right[d - 1, i] is (i + d, i + w), a strided line in the chart."""
+    m, st = chart.shape[1] - w, chart.strides
+    right = np.ndarray((w - 1, m) + chart.shape[2:], chart.dtype, chart,
+                       (w - 1) * st[0] + st[1], (st[1] - st[0],) + st[1:])
+    return chart[1:w, :m], right
+
+
+def _rescale(base, closure, exp):
+    """Close each row of ``base`` (a span's values times 2**-exp[row])
+    under the unary rules, and scale it to a maximum in [0.5, 1)."""
+    nt = base[:, :len(closure)]
+    closed = np.array([closure @ v for v in nt])   # per span, as always
+    base[:, :len(closure)] = np.where(closed > 0.0, closed, nt)
+    top = base.max(axis=1)
+    shift = np.frexp(top)[1]
+    return (np.ldexp(base, -shift[:, None]),
+            np.where(top > 0.0, exp + shift, ZERO_EXP))
 
 
 def inside_outside(g, x):
@@ -241,77 +283,60 @@ def inside_outside(g, x):
         raise EstimationError("empty terminal string")
     fg = g.factored()
     n = len(x)
-    inside = {}
-    for w in range(1, n + 1):
-        for i in range(n - w + 1):
-            j = i + w
-            base = {}
-            if w == 1:
-                for lhs, term, wt, _rule in fg.term_unary:
-                    if x[i] == term:
-                        base[lhs] = base.get(lhs, 0.0) + wt
-            for parent, ls, rs, wt, _rule in fg.binary:
-                acc = 0.0
-                for k in range(i + 1, j):
-                    li = _span_inside(fg, inside, ls, i, k, x)
-                    if li == 0.0:
-                        continue
-                    ri = _span_inside(fg, inside, rs, k, j, x)
-                    if ri != 0.0:
-                        acc += li * ri
-                if acc != 0.0:
-                    base[parent] = base.get(parent, 0.0) + wt * acc
-            fg.close_inside(base)
-            inside[(i, j)] = base
+    # inside[w, i] * 2**exps[w, i] is the span (i, i + w)
+    inside = np.zeros((n + 1, n + 1, fg.size))
+    exps = np.full((n + 1, n + 1), ZERO_EXP)
+    pos, k = fg.entries(x)
+    inside[1, pos, fg.lex_lhs[k]] = fg.lex_weight[k]
+    inside[1, :n], exps[1, :n] = _rescale(inside[1, :n], fg.closure, 0)
+    for w in range(2, n + 1):
+        m = n + 1 - w
+        (left, right), s = _splits(inside, w), np.add(*_splits(exps, w))
+        top = s.max(axis=0)   # the splits are summed at this exponent
+        # a rule-by-rule loop's products, summed over splits in its order
+        acc = (np.ldexp(left, (s - top)[..., None])[..., fg.left]
+               * right[..., fg.right]).sum(axis=0)
+        cells = np.arange(m)[:, None] * fg.size + fg.parent
+        base = np.bincount(cells.ravel(), (fg.weight * acc).ravel(),
+                           m * fg.size)   # adds in rule order
+        inside[w, :m], exps[w, :m] = _rescale(
+            base.reshape(m, -1), fg.closure, top)
+    zm, ze = inside[n, 0, fg.start], int(exps[n, 0])
+    if zm <= 0.0:
+        return SentenceExpectations(NEG_INF, {})
+    z = math.ldexp(zm, ze)
+    log_z = (math.log(z) if z >= sys.float_info.min
+             else math.log(zm) + ze * math.log(2.0))
 
-    z = inside[(0, n)].get(fg.start, 0.0)
-    if z <= 0.0:
-        return SentenceExpectations(float("-inf"), {})
-
-    outside = {span: {} for span in inside}
-    outside[(0, n)][fg.start] = 1.0
-    expected = defaultdict(float)
+    # grad[w, i] = d log Z / d inside[w, i], widest first; through scaling
+    # and closure it is gv: times a rule's term, that rule's expected count.
+    grad = np.zeros_like(inside)
+    grad[n, 0, fg.start] = 1.0 / zm
+    expected = np.zeros(len(fg.rules))
+    nb, nu = len(fg.parent), len(fg.u_lhs)
     for w in range(n, 0, -1):
-        for i in range(n - w + 1):
-            j = i + w
-            obase = outside[(i, j)]
-            fg.close_outside(obase)
-            # unary expectations on this span
-            for lhs, b, wt, rule in fg.nt_unary:
-                op = obase.get(lhs, 0.0)
-                if op == 0.0:
-                    continue
-                ip = inside[(i, j)].get(b, 0.0)
-                if ip != 0.0:
-                    expected[rule] += wt * op * ip / z
-            if w == 1:
-                for lhs, term, wt, rule in fg.term_unary:
-                    op = obase.get(lhs, 0.0)
-                    if op != 0.0 and x[i] == term:
-                        expected[rule] += wt * op / z
-                continue
-            # binary expectations and outside propagation to children
-            for parent, ls, rs, wt, rule in fg.binary:
-                op = obase.get(parent, 0.0)
-                if op == 0.0:
-                    continue
-                for k in range(i + 1, j):
-                    li = _span_inside(fg, inside, ls, i, k, x)
-                    if li == 0.0:
-                        continue
-                    ri = _span_inside(fg, inside, rs, k, j, x)
-                    if ri == 0.0:
-                        continue
-                    contrib = wt * op * li * ri
-                    if rule is not None:
-                        expected[rule] += contrib / z
-                    if ls in fg.chart_symbols:
-                        d = outside[(i, k)]
-                        d[ls] = d.get(ls, 0.0) + wt * op * ri
-                    if rs in fg.chart_symbols:
-                        d = outside[(k, j)]
-                        d[rs] = d.get(rs, 0.0) + wt * op * li
-    return SentenceExpectations(math.log(z), dict(expected))
+        m = n + 1 - w
+        (left, right), s = _splits(inside, w), np.add(*_splits(exps, w))
+        top = s.max(axis=0) if w > 1 else 0
+        shift = (exps[w, :m] - top)[:, None]
+        gv = np.ldexp(grad[w, :m], -shift)
+        gv[:, :fg.n_nt] = gv[:, :fg.n_nt] @ fg.closure
+        expected[nb:nb + nu] += (
+            fg.u_weight * gv[:, fg.u_lhs]
+            * np.ldexp(inside[w, :m][:, fg.u_child], shift)).sum(axis=0)
+        if w == 1:
+            break
+        left, right = left[..., fg.left], right[..., fg.right]
+        gp = np.ldexp(fg.weight * gv[:, fg.parent], (s - top)[..., None])
+        expected[:nb] += (gp * left * right).sum(axis=(0, 1))
+        grad_left, grad_right = _splits(grad, w)
+        grad_left += (gp * right) @ fg.to_left
+        grad_right += (gp * left) @ fg.to_right
+    expected[nb + nu:] += np.bincount(
+        k, fg.lex_weight[k] * gv[pos, fg.lex_lhs[k]], len(fg.lex_lhs))
+    return SentenceExpectations(log_z, {
+        r: c for r, c in zip(fg.rules, expected.tolist())
+        if r is not None and c != 0.0})
 
 
 # ---------------------------------------------------------------------------
@@ -320,18 +345,20 @@ def inside_outside(g, x):
 THETA_FLOOR = 1e-12
 
 
-def _corpus_stats(g, corpus):
-    """Per-corpus sums: tree log probs, yield log marginals, expectations."""
-    from .trees import tree_yield
-    tlp_sum = 0.0
-    marg_sum = 0.0
-    expected = defaultdict(float)
+def corpus_stats(g, corpus):
+    """(sum of tree log probabilities, sum of yield log marginals, summed
+    expected rule counts) of a treebank: the terms of the conditional
+    log-likelihood and its gradient.  Inside-Outside runs once per distinct
+    yield; the sums still take the sentences in corpus order."""
+    tlp_sum = marg_sum = 0.0
+    expected, by_yield = defaultdict(float), {}
     for sid, t in zip(corpus.ids, corpus):
         tlp = tree_log_prob(g, t)
-        if tlp == float("-inf"):
+        if tlp == NEG_INF:
             raise EstimationError(
                 "tree %r is not derivable under the grammar" % (sid,))
-        exp = inside_outside(g, tree_yield(t))
+        x = tuple(tree_yield(t))
+        exp = by_yield[x] = by_yield.get(x) or inside_outside(g, x)
         if not exp.parsable:
             raise EstimationError("yield of tree %r is unparsable" % (sid,))
         tlp_sum += tlp
@@ -343,17 +370,14 @@ def _corpus_stats(g, corpus):
 
 def conditional_log_likelihood(g, corpus):
     """Sum over sentences of log P(y_i) - log sum_{y in tau(x_i)} P(y)."""
-    tlp_sum, marg_sum, _ = _corpus_stats(g, corpus)
+    tlp_sum, marg_sum, _ = corpus_stats(g, corpus)
     return tlp_sum - marg_sum
 
 
 def cll_gradient(g, corpus):
     """Gradient of the conditional log-likelihood with respect to theta."""
-    _, _, expected = _corpus_stats(g, corpus)
-    observed = defaultdict(float)
-    for t in corpus:
-        for r, c in tree_productions(t).items():
-            observed[r] += c
+    _, _, expected = corpus_stats(g, corpus)
+    observed = extract_counts(corpus).counts
     grad = {}
     for r in g.rules:
         diff = observed.get(r, 0.0) - expected.get(r, 0.0)
@@ -386,12 +410,9 @@ def estimate_mcle(corpus, init, cfg=None, trace=None):
     ``trace`` if given) is monotone non-decreasing.
     """
     cfg = cfg or AscentConfig()
-    observed = defaultdict(float)
-    for t in corpus:
-        for r, c in tree_productions(t).items():
-            observed[r] += c
+    observed = extract_counts(corpus).counts
     g = init
-    tlp, marg, expected = _corpus_stats(g, corpus)
+    tlp, marg, expected = corpus_stats(g, corpus)
     cll = tlp - marg
     if trace is not None:
         trace.append(cll)
@@ -399,19 +420,16 @@ def estimate_mcle(corpus, init, cfg=None, trace=None):
         direction = {r: observed.get(r, 0.0) - expected.get(r, 0.0)
                      for r in g.rules}
         eta = cfg.initial_step
-        accepted = None
         for _ in range(cfg.max_shrinks):
             cand = _eg_step(g, direction, eta)
-            tlp_c, marg_c, exp_c = _corpus_stats(cand, corpus)
+            tlp_c, marg_c, exp_c = corpus_stats(cand, corpus)
             if tlp_c - marg_c > cll:
-                accepted = (cand, tlp_c - marg_c, exp_c)
                 break
             eta *= cfg.line_search_shrink
-        if accepted is None:
+        else:
             break
-        g_new, cll_new, expected = accepted
-        improvement = cll_new - cll
-        g, cll = g_new, cll_new
+        improvement = tlp_c - marg_c - cll
+        g, cll, expected = cand, tlp_c - marg_c, exp_c
         if trace is not None:
             trace.append(cll)
         if improvement < cfg.tol * (abs(cll) + 1e-12):
@@ -422,9 +440,6 @@ def estimate_mcle(corpus, init, cfg=None, trace=None):
 # ---------------------------------------------------------------------------
 # CKY Viterbi parsing.
 
-NEG_INF = float("-inf")
-
-
 def viterbi_parse(g, x):
     """Most probable parse of x, or None if x is not in the grammar's
     language.  Ties are broken deterministically (rule order, then smallest
@@ -433,82 +448,57 @@ def viterbi_parse(g, x):
     if not x:
         raise EstimationError("empty terminal string")
     fg = g.factored()
-    n = len(x)
-    logw_term = [(l, t, math.log(w), r) for l, t, w, r in fg.term_unary if w > 0]
-    logw_unary = [(l, b, math.log(w), r) for l, b, w, r in fg.nt_unary if w > 0]
-    logw_binary = [(p, ls, rs, math.log(w), r)
-                   for p, ls, rs, w, r in fg.binary if w > 0]
-    best = {}   # (i, j) -> {sym: score}
-    back = {}   # (i, j, sym) -> backpointer
-
-    def get(sym, i, j):
-        if sym in fg.chart_symbols:
-            return best[(i, j)].get(sym, NEG_INF)
-        return 0.0 if j == i + 1 and x[i] == sym else NEG_INF
-
+    n, nb = len(x), len(fg.parent)
+    # back: the binary rule of a cell's score, nb + its unary rule, or -1
+    best = np.full((n + 1, n + 1, fg.size), NEG_INF)
+    back = np.full(best.shape, -1)
+    pos, k = fg.entries(x)
+    best[1, pos, fg.lex_lhs[k]] = fg.lex_log[k]
     for w in range(1, n + 1):
-        for i in range(n - w + 1):
-            j = i + w
-            scores = {}
-            if w == 1:
-                for lhs, term, lw, rule in logw_term:
-                    if x[i] == term and lw > scores.get(lhs, NEG_INF):
-                        scores[lhs] = lw
-                        back[(i, j, lhs)] = ("t", rule)
-            for parent, ls, rs, lw, rule in logw_binary:
-                for k in range(i + 1, j):
-                    li = get(ls, i, k)
-                    if li == NEG_INF:
-                        continue
-                    ri = get(rs, k, j)
-                    if ri == NEG_INF:
-                        continue
-                    sc = lw + li + ri
-                    if sc > scores.get(parent, NEG_INF):
-                        scores[parent] = sc
-                        back[(i, j, parent)] = ("b", ls, rs, k, rule)
-            best[(i, j)] = scores
-            # unary closure: bounded relaxation, deterministic order
-            for _ in range(len(fg.nonterminals)):
-                changed = False
-                for lhs, b, lw, rule in logw_unary:
-                    bi = scores.get(b, NEG_INF)
-                    if bi == NEG_INF:
-                        continue
-                    sc = lw + bi
-                    if sc > scores.get(lhs, NEG_INF):
-                        scores[lhs] = sc
-                        back[(i, j, lhs)] = ("u", b, rule)
-                        changed = True
-                if not changed:
-                    break
-
-    if best[(0, n)].get(fg.start, NEG_INF) == NEG_INF:
+        m = n + 1 - w
+        if w > 1:
+            left, right = _splits(best, w)
+            # a rule loop's sums; a tie goes to the first rule, first split
+            sc = (fg.log_weight + left[..., fg.left]) + right[..., fg.right]
+            by_rule = sc.max(axis=0)
+            r = fg.by_head[np.arange(len(fg.heads)),
+                           by_rule[:, fg.by_head].argmax(axis=2)]
+            best[w, :m, fg.heads] = np.take_along_axis(by_rule, r, 1).T
+            back[w, :m, fg.heads] = r.T
+        # unary rules: bounded relaxation in rule order, strict improvements
+        cells, backs = best[w, :m], back[w, :m]
+        for _ in range(fg.n_nt if fg.log_unary else 0):
+            changed = False
+            for slot, lhs, child, lw in fg.log_unary:
+                sc = lw + cells[:, child]
+                up = sc > cells[:, lhs]
+                cells[up, lhs], backs[up, lhs] = sc[up], slot
+                changed |= up.any()
+            if not changed:
+                break
+    if best[n, 0, fg.start] == NEG_INF:
         return None
 
     def build(sym, i, j):
         """Tree for an original symbol; list of trees for an intermediate."""
-        if sym not in fg.chart_symbols:
-            return Tree(sym)
-        bp = back[(i, j, sym)]
-        if bp[0] == "t":
-            rule = bp[1]
-            node = Tree(rule.lhs, (Tree(rule.rhs[0]),))
-        elif bp[0] == "u":
-            _, b, rule = bp
-            node = Tree(rule.lhs, (build(b, i, j),))
-        else:
-            _, ls, rs, k, rule = bp
-            left = build(ls, i, k)
-            right = build(rs, k, j)
-            kids = (left if isinstance(left, list) else [left]) \
-                + (right if isinstance(right, list) else [right])
-            if rule is None:
-                return kids
-            node = Tree(rule.lhs, kids)
-        return node
+        name = fg.symbols[sym]
+        if sym >= fg.n_chart:
+            return Tree(name)
+        r = back[j - i, i, sym]
+        if r < 0:
+            return Tree(name, (Tree(x[i]),))
+        if r >= nb:
+            return Tree(name, (build(fg.u_child[r - nb], i, j),))
+        left, right = _splits(best, j - i)   # the rule's first best split
+        k = i + 1 + ((fg.log_weight[r] + left[:, i, fg.left[r]])
+                     + right[:, i, fg.right[r]]).argmax()
+        kids = []
+        for part in (build(fg.left[r], i, k), build(fg.right[r], k, j)):
+            kids += part if isinstance(part, list) else [part]
+        return kids if fg.rules[r] is None else Tree(name, kids)
 
-    return build(fg.start, 0, n)
+    tree, build = build(fg.start, 0, n), None   # no cycle keeps the charts
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +517,11 @@ def save_grammar(g, path):
 
 def load_grammar(path):
     f = modelfile.read(path, GRAMMAR_SCHEMA, EstimationError)
-    return Pcfg(f["meta"]["start"],
-                {Production(lhs, tuple(rhs.split(" "))): w
-                 for lhs, rhs, w in f["rules"]})
+    try:
+        g = Pcfg(f["meta"]["start"],
+                 {Production(lhs, tuple(rhs.split(" "))): w
+                  for lhs, rhs, w in f["rules"]})
+    except EstimationError as e:
+        raise EstimationError("%s: %s" % (path, e)) from None
+    g.source = path   # a unary cycle surfaces at the first parse
+    return g

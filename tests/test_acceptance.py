@@ -19,7 +19,7 @@ from condest.hmm import (VARIANTS, TaggerModel, collect_tables,
                          fit_deleted_interpolation)
 from condest.pcfg import (AscentConfig, cll_gradient, estimate_mcle,
                           estimate_mle, extract_counts, inside_outside,
-                          _corpus_stats)
+                          corpus_stats)
 from condest.shiftreduce import (STAR, BeamConfig, Move, beam_parse,
                                  estimate_conditional, estimate_joint,
                                  oracle_moves, parse_corpus, reduce1, reduce2,
@@ -108,8 +108,8 @@ def test_criterion_03_mcle_directionality():
     trace = []
     mcle = estimate_mcle(corpus, mle, AscentConfig(), trace=trace)
     monotone = all(b >= a for a, b in zip(trace, trace[1:]))
-    _, marg_mle, _ = _corpus_stats(mle, corpus)
-    _, marg_mcle, _ = _corpus_stats(mcle, corpus)
+    _, marg_mle, _ = corpus_stats(mle, corpus)
+    _, marg_mcle, _ = corpus_stats(mcle, corpus)
     elapsed = time.monotonic() - start
     _verdict("criterion 3: MCLE raises conditional likelihood "
              "(%.4f -> %.4f), lowers the marginal (%.4f -> %.4f), "

@@ -218,6 +218,8 @@ def saved_models(tmp_path_factory):
     assert cli.main(["train-sr", "--train", str(d / "sr_train.mrg"),
                      "--heldout", str(d / "sr_heldout.mrg"), "--flavor",
                      "cond", "-o", str(d / "sr.txt")]) == 0
+    assert cli.main(["train-pcfg", "--train", str(d / "pcfg_train.mrg"),
+                     "-o", str(d / "grammar.txt")]) == 0
     return d
 
 
@@ -262,6 +264,26 @@ def _short_lambda_row(lines):
     return i + 1
 
 
+# A grammar that reads but is not a valid PCFG: the message names the file
+# but no line.
+
+def _start_without_rules(lines):
+    lines[lines.index("start\tS")] = "start\tQ"
+
+
+def _weights_off_one(lines):
+    i = lines.index("[rules]") + 1
+    lines[i] = lines[i].rsplit("\t", 1)[0] + "\t2"
+
+
+def _unary_cycle(lines):
+    lines += ["Q\tR\t1", "R\tQ\t1"]
+
+
+COMMANDS = {"tagger.txt": "tag --model", "sr.txt": "parse-sr --model",
+            "grammar.txt": "parse --grammar"}
+
+
 @pytest.mark.parametrize("model, edit", [
     ("tagger.txt", _one_field_row),
     ("tagger.txt", _row_before_header),
@@ -271,15 +293,19 @@ def _short_lambda_row(lines):
     ("sr.txt", _drop_key("start")),
     ("sr.txt", _bad_count),
     ("tagger.txt", _short_lambda_row),
+    ("grammar.txt", _start_without_rules),
+    ("grammar.txt", _weights_off_one),
+    ("grammar.txt", _unary_cycle),
 ], ids=["one-field-row", "row-before-header", "unknown-section",
         "repeated-section", "no-variant", "sr-no-start", "sr-bad-count",
-        "short-lambda-row"])
+        "short-lambda-row", "start-without-rules", "weights-off-one",
+        "unary-cycle"])
 def test_malformed_model_exits_1(saved_models, tmp_path, capsys, model, edit):
     lines = (saved_models / model).read_text().split("\n")[:-1]
     lineno = edit(lines)
     bad = _write(tmp_path / model, "".join(x + "\n" for x in lines))
     sents = _write(tmp_path / "sents.txt", "ka li\n")
-    cmd = "tag" if model == "tagger.txt" else "parse-sr"
-    assert cli.main([cmd, "--model", bad, "--input", sents,
-                     "-o", str(tmp_path / "out")]) == 1
-    assert "%s:%d:" % (bad, lineno) in capsys.readouterr().err
+    assert cli.main(COMMANDS[model].split() + [
+        bad, "--input", sents, "-o", str(tmp_path / "out")]) == 1
+    where = bad + (":%d:" % lineno if lineno else ": ")
+    assert "error: " + where in capsys.readouterr().err

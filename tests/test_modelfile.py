@@ -133,3 +133,25 @@ def test_corrupted_line_loads_or_exits_1(name, data):
             code = cli.main(kind.command.split() + [
                 path, "--input", sents, "-o", os.path.join(d, "out")])
         assert code in (0, 1) if loaded else code == 1
+
+
+@pytest.mark.parametrize("name", KINDS)
+@CODEC
+@given(data=st.data())
+def test_repeated_row_is_refused(name, data):
+    """A saved model with any one row written twice is refused at the
+    second copy: a rule, word, table row or lambda bucket appears once."""
+    kind = KINDS[name]
+    model, _sentences = data.draw(kind.models)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "model")
+        kind.save(model, path)
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().split("\n")[:-1]
+        rows = [i for i, line in enumerate(lines) if "\t" in line]
+        i = data.draw(st.sampled_from(rows), label="row")
+        lines.insert(i + 1, lines[i])
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("".join(line + "\n" for line in lines))
+        with pytest.raises(kind.error, match="%s:%d: " % (path, i + 2)):
+            kind.load(path)

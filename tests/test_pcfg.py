@@ -10,8 +10,9 @@ from condest.pcfg import (AscentConfig, EstimationError, Pcfg, Production,
                           inside_outside, load_grammar, save_grammar,
                           tree_log_prob, tree_productions, viterbi_parse)
 from condest.trees import Corpus, parse_trees, tree_yield
-from oracles import (brute_marginal_and_expectations, random_grammar, raw_cll,
-                     sample_tree_from_grammar)
+from oracles import (brute_marginal_and_expectations, enumerate_parses,
+                     random_grammar, raw_cll, sample_tree_from_grammar,
+                     tree_prob)
 
 
 def t(s):
@@ -124,6 +125,27 @@ def test_inside_outside_matches_enumeration():
                         want_exp.get(r, 0.0), abs=1e-10)
 
 
+def test_inside_outside_long_sentence_does_not_underflow():
+    # Every binary tree over the string has the same probability, so
+    # Z = Catalan(n - 1) * 0.5**(n - 1) * 0.025**n, about exp(-788): below
+    # the smallest double.
+    n = 260
+    theta = {P("S", "S", "S"): 0.5}
+    theta.update({P("S", "t%02d" % k): 0.025 for k in range(20)})
+    g = Pcfg("S", theta)
+    x = ["t%02d" % (i % 20) for i in range(n)]
+    exp = inside_outside(g, x)
+    m = n - 1
+    log_catalan = (math.lgamma(2 * m + 1) - math.lgamma(m + 2)
+                   - math.lgamma(m + 1))
+    want = log_catalan + m * math.log(0.5) + n * math.log(0.025)
+    assert want < -745
+    assert exp.log_marginal == pytest.approx(want, rel=1e-9)
+    # every parse has n - 1 binary nodes and one lexical rule per word
+    assert exp.expected_counts[P("S", "S", "S")] == pytest.approx(m, rel=1e-9)
+    assert exp.expected_counts[P("S", "t07")] == pytest.approx(13, rel=1e-9)
+
+
 def test_cll_unambiguous_is_zero(tiny_corpus):
     g = estimate_mle(extract_counts(tiny_corpus))
     assert conditional_log_likelihood(g, tiny_corpus) == pytest.approx(0.0)
@@ -185,8 +207,8 @@ def test_mcle_improves_cll_on_bundled_corpus():
 
 
 def _stats(g, corpus):
-    from condest.pcfg import _corpus_stats
-    return _corpus_stats(g, corpus)
+    from condest.pcfg import corpus_stats
+    return corpus_stats(g, corpus)
 
 
 def test_mcle_fixed_point_at_saturation():
@@ -224,6 +246,34 @@ def test_viterbi_picks_most_probable():
     best = viterbi_parse(g, ["a", "a"])
     assert best == t("(S (A a) (A a))")
     assert tree_log_prob(g, best) == pytest.approx(math.log(0.75))
+
+
+def test_viterbi_matches_enumeration():
+    for seed in range(8):
+        rng = random.Random(seed)
+        g, terms = random_grammar(rng)
+        for n in range(1, 6):
+            for bits in range(2 ** n):
+                x = [terms[(bits >> i) & 1] for i in range(n)]
+                parses = enumerate_parses(g, x)
+                got = viterbi_parse(g, x)
+                if not parses:
+                    assert got is None
+                    continue
+                assert got in parses
+                assert tree_prob(g, got) == pytest.approx(
+                    max(tree_prob(g, p) for p in parses), rel=1e-12)
+
+
+def test_viterbi_tie_break():
+    # Every parse of "a a a" scores 1/64 exactly.  S over "a a" ties A A
+    # with B B (first rule wins); the root ties splits 1 and 2 (smallest
+    # split wins).
+    g = Pcfg("S", {P("S", "A", "A"): 0.25, P("S", "B", "B"): 0.25,
+                   P("S", "S", "S"): 0.25, P("S", "a"): 0.25,
+                   P("A", "a"): 1.0, P("B", "a"): 1.0})
+    assert viterbi_parse(g, ["a", "a"]) == t("(S (A a) (A a))")
+    assert viterbi_parse(g, ["a", "a", "a"]) == t("(S (S a) (S (A a) (A a)))")
 
 
 def test_viterbi_empty_string(tiny_corpus):
