@@ -164,15 +164,24 @@ def _write_predictions(pred, path):
 
 
 def _read_predictions(path):
-    out = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                out.append(None)
-            else:
-                out.append(trees.parse_trees(line)[0])
-    return out
+        lines = [line.strip() for line in f]
+    return [trees.parse_trees(line)[0] if line else None for line in lines]
+
+
+def _tag(sentences, model, source, path, what=""):
+    """Decode each sentence and write ``word_tag`` lines to ``path``.  A
+    TaggingError names ``source``, the sentence's number and ``what``."""
+    pred = []
+    for i, words in enumerate(sentences, 1):
+        try:
+            pred.append(model.posterior_decode(words))
+        except hmm.TaggingError as e:
+            raise hmm.TaggingError("%s: sentence %d%s: %s"
+                                   % (source, i, what, e)) from e
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(hmm.write_tagged(zip(sentences, pred)))
+    return pred
 
 
 def _head_rules(path):
@@ -202,10 +211,7 @@ def _pipeline_pcfg(cfg, out):
     for name, g in (("MLE", mle), ("MCLE", mcle)):
         tlp, marg, _ = pcfg.corpus_stats(g, train)
         stats[name] = (-tlp, -(tlp - marg), -marg)
-        pred = []
-        for t in test:
-            p = pcfg.viterbi_parse(g, trees.tree_yield(t))
-            pred.append(p)
+        pred = [pcfg.viterbi_parse(g, trees.tree_yield(t)) for t in test]
         preds[name] = pred
         _write_predictions(pred, os.path.join(out, "pred_%s.mrg" % name.lower()))
     for i, metric in enumerate(("-logP(y)", "-logP(y|x)", "-logP(x)")):
@@ -235,19 +241,15 @@ def _pipeline_hmm(cfg, out):
     train = _read_tagged(cfg.train)
     heldout = _read_tagged(cfg.heldout)
     test = _read_tagged(cfg.test)
-    gold = [tags for _w, tags in test]
+    sentences, gold = [w for w, _t in test], [t for _w, t in test]
     lines = ["variant\taccuracy"]
     for variant in hmm.VARIANTS:
         model = hmm.TaggerModel.train(variant, train, heldout)
         hmm.save_tagger(model, os.path.join(out, "tagger_%s.txt" % variant))
-        pred = [model.posterior_decode(words) for words, _t in test]
+        pred = _tag(sentences, model, cfg.test, os.path.join(
+            out, "tags_%s.txt" % variant), " (variant %s)" % variant)
         acc = hmm.tagging_accuracy(pred, gold)
         lines.append("%s\t%s" % (variant, _fmt(acc)))
-        with open(os.path.join(out, "tags_%s.txt" % variant), "w",
-                  encoding="utf-8") as f:
-            for (words, _t), tags in zip(test, pred):
-                f.write(" ".join("%s_%s" % (w, t)
-                                 for w, t in zip(words, tags)) + "\n")
     with open(os.path.join(out, "report.tsv"), "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -281,15 +283,9 @@ def _pipeline_sr(cfg, out):
                             _fmt(rep.f_score), failures))
             _write_predictions(pred, os.path.join(
                 out, "pred_%s_%g.mrg" % (name, thr)))
-    pred = []
-    failures = 0
-    for words in sentences:
-        t = pcfg.viterbi_parse(baseline, words)
-        if t is None:
-            failures += 1
-            pred.append(None)
-        else:
-            pred.append(trees.debinarize(t))
+    pred = [pcfg.viterbi_parse(baseline, words) for words in sentences]
+    failures = sum(t is None for t in pred)
+    pred = [None if t is None else trees.debinarize(t) for t in pred]
     rep = evaluation.score_corpus(gold, pred)
     lines.append("pcfg\t-\t%s\t%s\t%s\t%d"
                  % (_fmt(rep.precision), _fmt(rep.recall), _fmt(rep.f_score),
@@ -345,11 +341,7 @@ def _cmd_train_tagger(args):
 
 def _cmd_tag(args):
     model = hmm.load_tagger(args.model)
-    with open(args.output, "w", encoding="utf-8") as f:
-        for words in _read_sentences(args.input):
-            tags = model.posterior_decode(words)
-            f.write(" ".join("%s_%s" % (w, t)
-                             for w, t in zip(words, tags)) + "\n")
+    _tag(_read_sentences(args.input), model, args.input, args.output)
     return 0
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modelfile
-from .interp import CondTable, InterpolatedCondDist, fit_interpolation
+from .interp import (CondTable, InterpolatedCondDist, bucket_id,
+                     fit_interpolation)
 
 END = "<end>"
 UNK = "<unk>"
@@ -134,15 +135,12 @@ def collect_tables(train):
 
 
 def _heldout_events(tables, heldout, target):
+    back = 0 if target == "pr0" else 1  # pr1 keys on the previous word
     events = []
     for words, tags in heldout:
         ws = [END] + [tables.map_word(w) for w in words] + [END]
         ts = [END] + list(tags) + [END]
-        for j in range(1, len(ws)):
-            if target == "pr0":
-                events.append(((ws[j], ts[j - 1]), ts[j]))
-            else:
-                events.append(((ws[j - 1], ts[j - 1]), ts[j]))
+        events += [((ws[j - back], ts[j - 1]), ts[j]) for j in range(1, len(ws))]
     return events
 
 
@@ -186,26 +184,57 @@ class TaggerModel:
         return cls(variant, tables, **{
             t: fit_deleted_interpolation(tables, heldout, t) for t in needs})
 
-    def edge_weight(self, wprev, w, tprev, t):
-        """Position factor for the transition tprev -> t reading w (w and
-        wprev already UNK-mapped)."""
+    @functools.cached_property
+    def _index(self):
+        """Lattice row and column of each symbol: the tagset, then END."""
+        return {s: i for i, s in enumerate(self.tables.tagset + (END,))}
+
+    @functools.cached_property
+    def _trans(self):
+        """P(t | tprev) over (tprev, t)."""
+        return self.tables.trans.matrix([(s,) for s in self._index],
+                                        self._index)
+
+    def _given_tag(self, table, w):
+        """table.prob((s,), w) for each symbol s, as a column."""
+        return np.array([[table.prob((s,), w)] for s in self._index])
+
+    def _mixture(self, mix, word):
+        """mix.prob((word, tprev), t) over (tprev, t): P(t|word), P(t|tprev)
+        and P(t|word,tprev) (MIXTURES), weighted by the bucket of the full
+        context's count, added in the order InterpolatedCondDist.prob adds."""
+        (by_word, _), _, (full, _) = mix.components
+        ctxs = [(word, s) for s in self._index]
+        lam = np.array([mix.lambdas.get(bucket_id(full.total(c)), mix.uniform)
+                        for c in ctxs])
+        return (lam[:, 0:1] * by_word.matrix([(word,)], self._index)
+                + lam[:, 1:2] * self._trans
+                + lam[:, 2:3] * full.matrix(ctxs, self._index))
+
+    def edge_weight(self, wprev, w):
+        """Factor of the position reading w after wprev (both already
+        UNK-mapped) for every transition tprev -> t, as one array over
+        (tprev, t): rows and columns are the tagset, then END."""
         tb = self.tables
         if self.variant == "joint":
-            return tb.trans.prob((tprev,), t) * tb.emit.prob((t,), w)
+            return self._trans * self._given_tag(tb.emit, w).T
         if self.variant == "conditional":
-            return self.pr0.prob((w, tprev), t)
+            return self._mixture(self.pr0, w)
         if self.variant == "joint-prevword":
-            return tb.emit.prob((t,), w) * self.pr1.prob((wprev, tprev), t)
-        return self.pr0.prob((w, tprev), t) * tb.emit_prev.prob((tprev,), w)
+            return self._given_tag(tb.emit, w).T * self._mixture(self.pr1, wprev)
+        return self._mixture(self.pr0, w) * self._given_tag(tb.emit_prev, w)
 
     def sequence_log_prob(self, words, tags):
         if len(words) != len(tags):
             raise TaggingError("words/tags length mismatch")
         ws = [END] + [self.tables.map_word(w) for w in words] + [END]
         ts = [END] + list(tags) + [END]
+        if any(t not in self._index for t in tags):
+            return float("-inf")
         lp = 0.0
         for j in range(1, len(ws)):
-            p = self.edge_weight(ws[j - 1], ws[j], ts[j - 1], ts[j])
+            p = self.edge_weight(ws[j - 1], ws[j])[self._index[ts[j - 1]],
+                                                   self._index[ts[j]]]
             if p <= 0.0:
                 return float("-inf")
             lp += math.log(p)
@@ -216,35 +245,25 @@ class TaggerModel:
 
         Returns (first, mats, final): first[t] covers j=1, mats[j-2] is the
         (tprev, t) matrix for j=2..m, final[t] is the j=m+1 end transition.
-        An all-zero column falls back to the tag-bigram distribution.
+        An all-zero block falls back to the tag-bigram distribution.  The
+        blocks are copied to contiguous arrays: BLAS sums a strided slice's
+        products in another order, which moves log Z in the last bits.
         """
-        tags = self.tables.tagset
+        n = len(self.tables.tagset)
         ws = [END] + [self.tables.map_word(w) for w in words] + [END]
         m = len(words)
-        trans = self.tables.trans
-
-        first = np.array([self.edge_weight(ws[0], ws[1], END, t) for t in tags])
-        if first.max() <= 0.0:
-            first = np.array([trans.prob((END,), t) for t in tags])
-            if first.max() <= 0.0:
-                raise TaggingError("no tag has nonzero probability at position 1")
-        mats = []
-        for j in range(2, m + 1):
-            mat = np.array([[self.edge_weight(ws[j - 1], ws[j], tp, t)
-                             for t in tags] for tp in tags])
-            if mat.max() <= 0.0:
-                mat = np.array([[trans.prob((tp,), t) for t in tags]
-                                for tp in tags])
-                if mat.max() <= 0.0:
+        blocks = []
+        for j in range(1, m + 2):
+            at = (n if j == 1 else slice(n), n if j == m + 1 else slice(n))
+            block = self.edge_weight(ws[j - 1], ws[j])[at]
+            if block.max() <= 0.0:
+                block = self._trans[at]
+                if block.max() <= 0.0:
                     raise TaggingError(
+                        "no tag can reach the end marker" if j > m else
                         "no tag has nonzero probability at position %d" % j)
-            mats.append(mat)
-        final = np.array([self.edge_weight(ws[m], END, t, END) for t in tags])
-        if final.max() <= 0.0:
-            final = np.array([trans.prob((t,), END) for t in tags])
-            if final.max() <= 0.0:
-                raise TaggingError("no tag can reach the end marker")
-        return first, mats, final
+            blocks.append(np.ascontiguousarray(block))
+        return blocks[0], blocks[1:-1], blocks[-1]
 
     def log_partition(self, words):
         """Log of the sum over all tag sequences of the chain product."""
@@ -270,26 +289,14 @@ class TaggerModel:
         m = len(words)
         alphas = [first]
         for mat in mats:
-            a = alphas[-1]
-            s = a.sum()
-            if s <= 0.0:
-                raise TaggingError("dead lattice: sentence has zero probability")
-            alphas.append((a / s) @ mat)
+            alphas.append(_normalized(alphas[-1]) @ mat)
         betas = [None] * m
         betas[m - 1] = final
         for j in range(m - 2, -1, -1):
-            b = betas[j + 1]
-            s = b.sum()
-            if s <= 0.0:
-                raise TaggingError("dead lattice: sentence has zero probability")
-            betas[j] = mats[j] @ (b / s)
+            betas[j] = mats[j] @ _normalized(betas[j + 1])
         out = np.empty((m, len(self.tables.tagset)))
         for j in range(m):
-            prod = alphas[j] * betas[j]
-            s = prod.sum()
-            if s <= 0.0:
-                raise TaggingError("dead lattice: sentence has zero probability")
-            out[j] = prod / s
+            out[j] = _normalized(alphas[j] * betas[j])
         return out
 
     def posterior_decode(self, words):
@@ -298,6 +305,14 @@ class TaggerModel:
         marg = self.posterior_marginals(words)
         tags = self.tables.tagset
         return tuple(tags[int(np.argmax(row))] for row in marg)
+
+
+def _normalized(v):
+    """v over its sum; a lattice with no mass left is dead."""
+    s = v.sum()
+    if s <= 0.0:
+        raise TaggingError("dead lattice: sentence has zero probability")
+    return v / s
 
 
 def tagging_accuracy(pred, gold):

@@ -9,6 +9,8 @@ heldout data by EM on the weight simplex.
 import math
 from collections import defaultdict
 
+import numpy as np
+
 BUCKET_CAP = 16
 
 
@@ -44,6 +46,16 @@ class CondTable:
             return {}
         return {o: c / tot for o, c in self.counts[ctx].items()}
 
+    def matrix(self, ctxs, index):
+        """``prob`` over ``ctxs`` × outcomes as one array; ``index`` maps an
+        outcome to its column, and other outcomes are left out."""
+        out = np.zeros((len(ctxs), len(index)))
+        for i, ctx in enumerate(ctxs):
+            for o, p in self.dist(ctx).items():
+                if o in index:
+                    out[i, index[o]] = p
+        return out
+
     def contexts(self):
         return self.counts.keys()
 
@@ -63,36 +75,42 @@ def fit_mixture_weights(events, k, max_iters=100, tol=1e-7):
     Returns (lambdas, trace): ``lambdas`` maps bucket -> k-tuple on the
     simplex; ``trace`` is the per-iteration heldout log-likelihood, which
     is non-decreasing.  Buckets with no usable events get uniform weights.
+
+    Each iteration is one update over an (events × k) array, with the
+    events grouped by bucket (buckets in order of first appearance, events
+    in input order).  Every sum adds its terms one at a time in that
+    order, so the results are bit for bit those of a plain loop over each
+    bucket's events.
     """
-    by_bucket = defaultdict(list)
+    buckets, ids, rows = {}, [], []
     for bucket, probs in events:
         if any(p > 0.0 for p in probs):
-            by_bucket[bucket].append(probs)
-
-    uniform = tuple([1.0 / k] * k)
-    lambdas = {b: uniform for b in by_bucket}
+            ids.append(buckets.setdefault(bucket, len(buckets)))
+            rows.append(probs)
+    ids = np.array(ids, dtype=np.intp)
+    order = np.argsort(ids, kind="stable")
+    bid = ids[order]
+    probs = np.array(rows, dtype=float).reshape(-1, k)[order]
+    lam = np.full((len(buckets), k), 1.0 / k)
     trace = []
     prev_ll = None
     for _ in range(max_iters):
+        terms = lam[bid] * probs
+        mix = sum(terms.T)
         ll = 0.0
-        new = {}
-        for b, items in by_bucket.items():
-            lam = lambdas[b]
-            acc = [0.0] * k
-            for probs in items:
-                mix = sum(l * p for l, p in zip(lam, probs))
-                ll += math.log(mix)
-                for i in range(k):
-                    acc[i] += lam[i] * probs[i] / mix
-            tot = sum(acc)
-            new[b] = tuple(a / tot for a in acc) if tot > 0 else uniform
+        for m in mix.tolist():
+            ll += math.log(m)
+        acc = np.stack([np.bincount(bid, t / mix, len(buckets))
+                        for t in terms.T], axis=1)
+        tot = sum(acc.T)
+        lam = np.full_like(lam, 1.0 / k)
+        lam[tot > 0] = acc[tot > 0] / tot[tot > 0, None]
         trace.append(ll)
-        lambdas = new
         if prev_ll is not None:
             if ll - prev_ll < tol * (abs(prev_ll) + 1.0):
                 break
         prev_ll = ll
-    return lambdas, trace
+    return dict(zip(buckets, map(tuple, lam.tolist()))), trace
 
 
 class InterpolatedCondDist:
@@ -109,7 +127,7 @@ class InterpolatedCondDist:
         self.lambdas = dict(lambdas)
         self.trace = list(trace) if trace is not None else []
         self._k = len(self.components)
-        self._uniform = tuple([1.0 / self._k] * self._k)
+        self.uniform = tuple([1.0 / self._k] * self._k)
 
     def project(self, full_ctx, i):
         _, idx = self.components[i]
@@ -120,7 +138,7 @@ class InterpolatedCondDist:
         return bucket_id(table.total(self.project(full_ctx, self._k - 1)))
 
     def weights(self, full_ctx):
-        return self.lambdas.get(self.bucket(full_ctx), self._uniform)
+        return self.lambdas.get(self.bucket(full_ctx), self.uniform)
 
     def component_probs(self, full_ctx, out):
         return tuple(
@@ -145,10 +163,9 @@ def fit_interpolation(components, heldout_events, max_iters=100, tol=1e-7):
 
     ``heldout_events`` is a sequence of (full_ctx, outcome) pairs.
     """
-    k = len(components)
     probe = InterpolatedCondDist(components, {})
-    events = []
-    for full_ctx, out in heldout_events:
-        events.append((probe.bucket(full_ctx), probe.component_probs(full_ctx, out)))
-    lambdas, trace = fit_mixture_weights(events, k, max_iters=max_iters, tol=tol)
+    events = [(probe.bucket(c), probe.component_probs(c, out))
+              for c, out in heldout_events]
+    lambdas, trace = fit_mixture_weights(events, len(components),
+                                         max_iters=max_iters, tol=tol)
     return InterpolatedCondDist(components, lambdas, trace)

@@ -233,10 +233,8 @@ def estimate_conditional(train, heldout, max_iters=100, tol=1e-7):
         for s1, s2, la, move in _replay_events(t):
             full.add((s1, s2, la), move)
             coarse.add((s1, s2), move)
-    events = []
-    for t in held:
-        for s1, s2, la, move in _replay_events(t):
-            events.append(((s1, s2, la), move))
+    events = [((s1, s2, la), move) for t in held
+              for s1, s2, la, move in _replay_events(t)]
     mixture = fit_interpolation(_cond_components(coarse, full), events,
                                 max_iters=max_iters, tol=tol)
     return MoveModel("conditional", trees[0].label, coarse,
@@ -376,16 +374,9 @@ def parse_corpus(model, sentences, cfg=None):
     """Beam-parse each sentence and debinarize; returns (trees, failures)
     where a failed sentence contributes None."""
     cfg = cfg or BeamConfig()
-    out = []
-    failures = 0
-    for words in sentences:
-        t = beam_parse(model, words, cfg)
-        if t is None:
-            failures += 1
-            out.append(None)
-        else:
-            out.append(debinarize(t))
-    return out, failures
+    out = [beam_parse(model, words, cfg) for words in sentences]
+    return ([None if t is None else debinarize(t) for t in out],
+            sum(t is None for t in out))
 
 
 # ---------------------------------------------------------------------------

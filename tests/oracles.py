@@ -109,9 +109,10 @@ def random_grammar(rng, max_nts=4, max_rules=6):
         rules.add(Production(lhs, rhs))
     theta = {}
     by_lhs = defaultdict(list)
-    for r in rules:
+    for r in sorted(rules):
         by_lhs[r.lhs].append(r)
-    for lhs, rs in by_lhs.items():
+    for lhs in sorted(by_lhs):
+        rs = by_lhs[lhs]
         weights = [rng.random() + 0.1 for _ in rs]
         tot = sum(weights)
         for r, w in zip(sorted(rs), sorted(weights)):
@@ -174,6 +175,43 @@ def raw_cll(start, theta, corpus):
         den = sum(tree_prob(g, p) for p in enumerate_parses(g, tree_yield(t)))
         total += math.log(num) - math.log(den)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Deleted interpolation: the EM for mixture weights as a plain loop.
+
+def fit_mixture_weights_loop(events, k, max_iters=100, tol=1e-7):
+    """Reference for ``interp.fit_mixture_weights``: the same EM, one event
+    at a time, bucket by bucket in order of first appearance."""
+    by_bucket = defaultdict(list)
+    for bucket, probs in events:
+        if any(p > 0.0 for p in probs):
+            by_bucket[bucket].append(probs)
+
+    uniform = tuple([1.0 / k] * k)
+    lambdas = {b: uniform for b in by_bucket}
+    trace = []
+    prev_ll = None
+    for _ in range(max_iters):
+        ll = 0.0
+        new = {}
+        for b, items in by_bucket.items():
+            lam = lambdas[b]
+            acc = [0.0] * k
+            for probs in items:
+                mix = sum(l * p for l, p in zip(lam, probs))
+                ll += math.log(mix)
+                for i in range(k):
+                    acc[i] += lam[i] * probs[i] / mix
+            tot = sum(acc)
+            new[b] = tuple(a / tot for a in acc) if tot > 0 else uniform
+        trace.append(ll)
+        lambdas = new
+        if prev_ll is not None:
+            if ll - prev_ll < tol * (abs(prev_ll) + 1.0):
+                break
+        prev_ll = ll
+    return lambdas, trace
 
 
 # ---------------------------------------------------------------------------

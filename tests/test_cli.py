@@ -142,6 +142,33 @@ def test_tagger_round_trip(data_dir, tmp_path):
     assert all("_" in tok for tok in lines[0].split())
 
 
+def test_dead_lattice_names_the_sentence(tmp_path, capsys):
+    # "a" is only ever X and "b" only ever Y after Z: "a b" has no tagging
+    train = _write(tmp_path / "train.tag", "a_X c_W\nd_Z b_Y\n" * 2)
+    test = _write(tmp_path / "test.tag", "a_X c_W\na_X b_Y\n")
+    cfg_path = _write(tmp_path / "exp.cfg", """
+[experiment]
+pipeline = hmm-four-way
+output_dir = %s
+[corpus]
+train = %s
+heldout = %s
+test = %s
+""" % (tmp_path / "out", train, train, test))
+    assert cli.main(["experiment", cfg_path]) == 1
+    assert capsys.readouterr().err == (
+        "error: %s: sentence 2 (variant joint): dead lattice: sentence has "
+        "zero probability\n" % test)
+    model = str(tmp_path / "joint.txt")
+    assert cli.main(["train-tagger", "--train", train, "-o", model]) == 0
+    sents = _write(tmp_path / "sents.txt", "a c\na b\n")
+    assert cli.main(["tag", "--model", model, "--input", sents,
+                     "-o", str(tmp_path / "tags.txt")]) == 1
+    assert capsys.readouterr().err == (
+        "error: %s: sentence 2: dead lattice: sentence has zero "
+        "probability\n" % sents)
+
+
 def test_sr_round_trip(data_dir, tmp_path):
     model = str(tmp_path / "sr.txt")
     assert cli.main(["train-sr", "--train", str(data_dir / "sr_train.mrg"),

@@ -197,3 +197,37 @@ def test_save_load_round_trip(tmp_path):
                 model.posterior_decode(words)
             assert loaded.sequence_log_prob(words, tags) == pytest.approx(
                 model.sequence_log_prob(words, tags))
+
+
+def _scalar_edge(model, wprev, w, tprev, t):
+    """The position factor of one transition, straight from the tables."""
+    tb = model.tables
+    if model.variant == "joint":
+        return tb.trans.prob((tprev,), t) * tb.emit.prob((t,), w)
+    if model.variant == "conditional":
+        return model.pr0.prob((w, tprev), t)
+    if model.variant == "joint-prevword":
+        return tb.emit.prob((t,), w) * model.pr1.prob((wprev, tprev), t)
+    return model.pr0.prob((w, tprev), t) * tb.emit_prev.prob((tprev,), w)
+
+
+def test_edge_weight_matches_scalar_tables():
+    train, heldout, _test = toydata.hmm_corpora()
+    for variant in VARIANTS:
+        model = TaggerModel.train(variant, train, heldout)
+        tb = model.tables
+        syms = tb.tagset + (END,)
+        words = sorted({tb.map_word(w) for w in tb.word_counts} | {UNK, END})
+        for wprev in words:
+            for w in words:
+                got = model.edge_weight(wprev, w)
+                assert got.shape == (len(syms), len(syms))
+                for i, tprev in enumerate(syms):
+                    for j, t in enumerate(syms):
+                        # exact: the same products and sums in the same order
+                        assert got[i, j] == _scalar_edge(model, wprev, w,
+                                                         tprev, t)
+        words, tags = next(iter(train))
+        assert model.sequence_log_prob(words, tags) > float("-inf")
+        assert model.sequence_log_prob(words, ("NOT-A-TAG",) + tags[1:]) \
+            == float("-inf")

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condest.interp import (CondTable, InterpolatedCondDist, bucket_id,
                             fit_interpolation, fit_mixture_weights)
+from oracles import fit_mixture_weights_loop
 
 
 def test_bucket_id():
@@ -94,3 +97,47 @@ def test_fit_interpolation():
         assert sum(lam) == pytest.approx(1.0, abs=1e-12)
     for a, b in zip(mix.trace, mix.trace[1:]):
         assert b >= a - 1e-9
+
+
+def _fit(fit, events, k, max_iters, tol):
+    """The fit's (lambdas in order, trace), or the error it raised."""
+    try:
+        lambdas, trace = fit(events, k, max_iters=max_iters, tol=tol)
+    except ValueError as e:  # log of a zero mixture
+        return type(e), str(e)
+    return list(lambdas.items()), trace
+
+
+@st.composite
+def _em_inputs(draw):
+    k = draw(st.sampled_from((2, 3)))
+    n_buckets = draw(st.sampled_from((1, 2, 7)))
+    prob = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    events = draw(st.lists(st.tuples(st.integers(0, n_buckets - 1),
+                                     st.tuples(*[prob] * k)), max_size=40))
+    max_iters, tol = draw(st.sampled_from(((1, 1e-7), (3, 0.0), (100, 1e-7),
+                                           (100, 1e-12))))
+    return events, k, max_iters, tol
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_em_inputs())
+def test_mixture_weights_match_loop(inputs):
+    # bit-identical lambdas (in bucket order) and trace, or the same error
+    assert _fit(fit_mixture_weights, *inputs) == _fit(fit_mixture_weights_loop,
+                                                      *inputs)
+
+
+@pytest.mark.parametrize("events,k,max_iters,tol,iters", [
+    ([(0, (0.0, 0.0))] * 3, 2, 100, 1e-7, 2),              # all zero
+    ([(5, (0.9, 0.2, 0.1)), (5, (0.1, 0.8, 0.3))], 3, 100, 1e-7, None),
+    ([(b % 4, (0.1 * b, 0.3, 0.05 * b)) for b in range(1, 30)], 3, 4, 0.0, 4),
+    ([(b % 6, (0.2, 0.01 * b)) for b in range(60)], 2, 100, 1e-7, None),
+])
+def test_mixture_weights_match_loop_cases(events, k, max_iters, tol, iters):
+    got = _fit(fit_mixture_weights, events, k, max_iters, tol)
+    assert got == _fit(fit_mixture_weights_loop, events, k, max_iters, tol)
+    if iters is None:  # stopped by the tolerance
+        assert 2 <= len(got[1]) < max_iters
+    else:
+        assert len(got[1]) == iters

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -105,6 +108,24 @@ def test_inside_outside_nary_and_unary():
     exp1 = inside_outside(g, ["a"])
     assert exp1.log_marginal == pytest.approx(math.log(0.5))
     assert exp1.expected_counts[P("X", "A")] == pytest.approx(1.0)
+
+
+def test_random_grammar_ignores_hash_seed():
+    # the enumeration tests must check the same grammars on every run
+    here = os.path.dirname(os.path.abspath(__file__))
+    code = ("import random, oracles\n"
+            "for seed in range(20):\n"
+            "    g, _ = oracles.random_grammar(random.Random(seed))\n"
+            "    print(g.start, sorted(g.theta.items()))\n")
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep
+                   .join([os.path.join(os.path.dirname(here), "src"), here]))
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                   check=True, capture_output=True,
+                                   text=True).stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count("\n") == 20
 
 
 def test_inside_outside_matches_enumeration():
