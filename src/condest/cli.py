@@ -8,7 +8,9 @@ Exit codes: 0 ok, 1 data error, 2 config error.
 
 import argparse
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, field
 
 from . import evaluation, hmm, pcfg, shiftreduce, trees
@@ -297,14 +299,14 @@ def _pipeline_sr(cfg, out):
 
 def run_pipeline(cfg):
     """Run one experiment pipeline; writes models, predictions and a
-    metrics table under the configured output directory."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    if cfg.pipeline == "pcfg-mle-vs-mcle":
-        _pipeline_pcfg(cfg, cfg.output_dir)
-    elif cfg.pipeline == "hmm-four-way":
-        _pipeline_hmm(cfg, cfg.output_dir)
-    else:
-        _pipeline_sr(cfg, cfg.output_dir)
+    metrics table under the configured output directory.  They are written
+    to a scratch directory first and copied there only once the whole
+    pipeline has succeeded: a failed run leaves the directory as it was."""
+    pipeline = {"pcfg-mle-vs-mcle": _pipeline_pcfg,
+                "hmm-four-way": _pipeline_hmm}.get(cfg.pipeline, _pipeline_sr)
+    with tempfile.TemporaryDirectory() as scratch:
+        pipeline(cfg, scratch)
+        shutil.copytree(scratch, cfg.output_dir, dirs_exist_ok=True)
     return 0
 
 

@@ -43,7 +43,7 @@ class Pcfg:
 
     def __init__(self, start, theta):
         by_lhs = defaultdict(float)
-        for rule, w in theta.items():
+        for rule, w in sorted(theta.items()):   # sums not in hash order
             if not math.isfinite(w):
                 raise EstimationError("non-finite weight for %s" % (rule,))
             if w < 0:
@@ -397,7 +397,7 @@ def _eg_step(g, direction, eta):
         mx[r.lhs] = max(mx[r.lhs], e)
     raw = {r: g.theta[r] * math.exp(exps[r] - mx[r.lhs]) for r in g.rules}
     totals = defaultdict(float)
-    for r, w in raw.items():
+    for r, w in sorted(raw.items()):   # sums not in hash order
         totals[r.lhs] += w
     return Pcfg(g.start, {r: w / totals[r.lhs] for r, w in raw.items()})
 

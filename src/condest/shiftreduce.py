@@ -8,19 +8,25 @@ structural zeros that keep every move applicable, by masking the estimated
 distribution to the allowed move set and renormalizing.
 """
 
+import logging
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import modelfile
 from .interp import CondTable, InterpolatedCondDist, fit_interpolation
-from .trees import Tree, debinarize
+from .trees import Tree, debinarize, tree_yield
+
+log = logging.getLogger(__name__)
 
 STAR = "*"
 
 SHIFT = "shift"
 REDUCE1 = "reduce1"
 REDUCE2 = "reduce2"
+# How many stack items each move kind pops before pushing its label.
+ARITY = {SHIFT: 0, REDUCE1: 1, REDUCE2: 2}
 
 
 class ParserError(ValueError):
@@ -51,19 +57,27 @@ def stack_top2(stack):
     return s1, s2
 
 
+def _cut(stack, move):
+    """Where a move cuts a tuple stack: the items from ``cut`` on are popped
+    (they become the children of the pushed label), the rest stay."""
+    arity = ARITY.get(move.kind)
+    if arity is None:
+        raise ParserError("unknown move kind %r" % (move.kind,))
+    cut = len(stack) - arity
+    if cut < 0:
+        raise ParserError("stack too short for %s" % (move.kind,))
+    return cut
+
+
 def apply_move(stack, move):
     """Moves are partial functions from stacks to stacks (label tuples)."""
-    if move.kind == SHIFT:
-        return stack + (move.label,)
-    if move.kind == REDUCE1:
-        if len(stack) < 1:
-            raise ParserError("reduce1 on an empty stack")
-        return stack[:-1] + (move.label,)
-    if move.kind == REDUCE2:
-        if len(stack) < 2:
-            raise ParserError("reduce2 needs two stack elements")
-        return stack[:-2] + (move.label,)
-    raise ParserError("unknown move kind %r" % (move.kind,))
+    return stack[:_cut(stack, move)] + (move.label,)
+
+
+def _push_tree(stack, move):
+    """``apply_move`` on a stack of Tree nodes."""
+    cut = _cut(stack, move)
+    return stack[:cut] + (Tree(move.label, stack[cut:]),)
 
 
 def oracle_moves(t):
@@ -72,22 +86,18 @@ def oracle_moves(t):
     Requires a binarized tree (every internal node unary or binary); ends
     with the accepting shift of STAR.
     """
+    kinds = {arity: kind for kind, arity in ARITY.items()}
     out = []
 
     def walk(node):
-        if node.is_leaf():
-            out.append(shift(node.label))
-        elif len(node.children) == 1:
-            walk(node.children[0])
-            out.append(reduce1(node.label))
-        elif len(node.children) == 2:
-            walk(node.children[0])
-            walk(node.children[1])
-            out.append(reduce2(node.label))
-        else:
+        kind = kinds.get(len(node.children))
+        if kind is None:
             raise ParserError(
                 "node %r has %d children; binarize first"
                 % (node.label, len(node.children)))
+        for child in node.children:
+            walk(child)
+        out.append(Move(kind, node.label))
 
     walk(t)
     out.append(shift(STAR))
@@ -96,20 +106,9 @@ def oracle_moves(t):
 
 def tree_from_moves(moves):
     """Replay a complete move sequence back into a tree."""
-    stack = []  # Tree nodes
+    stack = ()  # Tree nodes
     for move in moves:
-        if move.kind == SHIFT:
-            stack.append(Tree(move.label))
-        elif move.kind == REDUCE1:
-            if not stack:
-                raise ParserError("reduce1 on an empty stack")
-            stack.append(Tree(move.label, (stack.pop(),)))
-        else:
-            if len(stack) < 2:
-                raise ParserError("reduce2 needs two stack elements")
-            right = stack.pop()
-            left = stack.pop()
-            stack.append(Tree(move.label, (left, right)))
+        stack = _push_tree(stack, move)
     if len(stack) != 2 or stack[1].label != STAR:
         raise ParserError("move sequence is not a complete parse")
     return stack[0]
@@ -155,6 +154,7 @@ class MoveModel:
                                    if m.kind == SHIFT and m.label != STAR)
         self.nonterminals = frozenset(m.label for m in moves
                                       if m.kind != SHIFT)
+        self._views = {}   # context -> move_view, filled on first query
 
     def allowed(self, move, s1, s2, lookahead=None):
         """Structural constraints: moves must be applicable and the accept
@@ -186,26 +186,42 @@ class MoveModel:
             return {}
         return {m: p / total for m, p in masked.items()}
 
-    def prob(self, move, s1, s2, lookahead=None):
-        return self.move_probs(s1, s2, lookahead).get(move, 0.0)
+    def move_view(self, s1, s2, lookahead=None):
+        """``move_probs`` of a context as the beam reads it: the allowed
+        non-shift moves in sorted order, each with its log-probability, and
+        {shift label: log-probability}.  Derived on the context's first
+        query and kept, so counts added to the tables later are not seen."""
+        key = (s1, s2, lookahead if self.flavor == "conditional" else None)
+        view = self._views.get(key)
+        if view is None:
+            probs = self.move_probs(s1, s2, lookahead)
+            view = self._views[key] = (
+                tuple((m, math.log(p)) for m, p in sorted(probs.items())
+                      if m.kind != SHIFT),
+                {m.label: math.log(p) for m, p in probs.items()
+                 if m.kind == SHIFT})
+        return view
 
 
-def _replay_events(t):
-    """(s1, s2, lookahead, move) events along a tree's oracle replay."""
-    from .trees import tree_yield
-    moves = oracle_moves(t)
-    sentence = tree_yield(t) + [STAR]
+def replay(moves, words):
+    """(s1, s2, lookahead, move) along a move sequence over ``words``; every
+    shift must match the input, and the moves must consume all of it."""
+    sentence = list(words) + [STAR]
     stack = ()
     shifted = 0
-    events = []
     for move in moves:
         s1, s2 = stack_top2(stack)
-        lookahead = sentence[shifted]
-        events.append((s1, s2, lookahead, move))
+        lookahead = sentence[shifted] if shifted < len(sentence) else None
         if move.kind == SHIFT:
+            if move.label != lookahead:
+                raise ParserError(
+                    "shift %r does not match input at position %d"
+                    % (move.label, shifted))
             shifted += 1
+        yield s1, s2, lookahead, move
         stack = apply_move(stack, move)
-    return events
+    if shifted != len(sentence):
+        raise ParserError("move sequence did not consume the input")
 
 
 def estimate_joint(train):
@@ -215,7 +231,7 @@ def estimate_joint(train):
         raise ParserError("empty training corpus")
     table = CondTable()
     for t in trees:
-        for s1, s2, _la, move in _replay_events(t):
+        for s1, s2, _la, move in replay(oracle_moves(t), tree_yield(t)):
             table.add((s1, s2), move)
     return MoveModel("joint", trees[0].label, table)
 
@@ -230,11 +246,11 @@ def estimate_conditional(train, heldout, max_iters=100, tol=1e-7):
     full = CondTable()
     coarse = CondTable()
     for t in trees:
-        for s1, s2, la, move in _replay_events(t):
+        for s1, s2, la, move in replay(oracle_moves(t), tree_yield(t)):
             full.add((s1, s2, la), move)
             coarse.add((s1, s2), move)
     events = [((s1, s2, la), move) for t in held
-              for s1, s2, la, move in _replay_events(t)]
+              for s1, s2, la, move in replay(oracle_moves(t), tree_yield(t))]
     mixture = fit_interpolation(_cond_components(coarse, full), events,
                                 max_iters=max_iters, tol=tol)
     return MoveModel("conditional", trees[0].label, coarse,
@@ -243,26 +259,14 @@ def estimate_conditional(train, heldout, max_iters=100, tol=1e-7):
 
 def parse_log_prob(model, moves, words):
     """Log probability of a complete move sequence for ``words``."""
-    sentence = list(words) + [STAR]
-    stack = ()
-    shifted = 0
     lp = 0.0
-    for move in moves:
-        s1, s2 = stack_top2(stack)
-        lookahead = sentence[shifted] if shifted < len(sentence) else None
-        if move.kind == SHIFT:
-            if shifted >= len(sentence) or move.label != sentence[shifted]:
-                raise ParserError(
-                    "shift %r does not match input at position %d"
-                    % (move.label, shifted))
-            shifted += 1
-        p = model.prob(move, s1, s2, lookahead)
-        if p <= 0.0:
+    for s1, s2, lookahead, move in replay(moves, words):
+        reduces, shifts = model.move_view(s1, s2, lookahead)
+        move_lp = (shifts.get(move.label) if move.kind == SHIFT
+                   else dict(reduces).get(move))
+        if move_lp is None:
             return float("-inf")
-        lp += math.log(p)
-        stack = apply_move(stack, move)
-    if shifted != len(sentence):
-        raise ParserError("move sequence did not consume the input")
+        lp += move_lp
     return lp
 
 
@@ -305,22 +309,20 @@ def beam_parse(model, words, cfg=None):
 
     frontier = {(): _State(0.0, (), (), ())}
     best_complete = None
-    for k in range(len(words) + 1):
-        lookahead = sentence[k]
+    truncated = []   # (word position, states dropped) past max_states
+    for k, lookahead in enumerate(sentence):
         # close the class under reduce moves
         pool = dict(frontier)
         best_logp = max((s.logp for s in pool.values()), default=float("-inf"))
-        worklist = sorted(pool.values(), key=lambda s: (-s.logp, s.moves))
+        worklist = deque(sorted(pool.values(),
+                                key=lambda s: (-s.logp, s.moves)))
         while worklist:
-            state = worklist.pop(0)
+            state = worklist.popleft()
             if pool.get(state.labels) is not state:
                 continue  # superseded
-            probs = model.move_probs(*stack_top2(state.labels),
-                                     lookahead=lookahead)
-            for move in sorted(probs):
-                if move.kind == SHIFT:
-                    continue
-                new = _apply_to_state(state, move, math.log(probs[move]))
+            reduces, _ = model.move_view(*stack_top2(state.labels), lookahead)
+            for move, lp in reduces:
+                new = _apply_to_state(state, move, lp)
                 if new.logp < best_logp + log_thr or not keep(new):
                     continue
                 cur = pool.get(new.labels)
@@ -330,18 +332,17 @@ def beam_parse(model, words, cfg=None):
                     best_logp = max(best_logp, new.logp)
         states = [s for s in pool.values() if s.logp >= best_logp + log_thr]
         if len(states) > cfg.max_states:
+            truncated.append((k, len(states) - cfg.max_states))
             states.sort(key=lambda s: (-s.logp, s.moves))
             states = states[:cfg.max_states]
         # shift the look-ahead (or accept with the final STAR shift)
         frontier = {}
         for state in states:
-            s1, s2 = stack_top2(state.labels)
-            probs = model.move_probs(s1, s2, lookahead=lookahead)
-            move = shift(lookahead)
-            p = probs.get(move, 0.0)
-            if p <= 0.0:
+            _, shifts = model.move_view(*stack_top2(state.labels), lookahead)
+            lp = shifts.get(lookahead)
+            if lp is None:
                 continue
-            new = _apply_to_state(state, move, math.log(p))
+            new = _apply_to_state(state, shift(lookahead), lp)
             if lookahead == STAR:
                 if best_complete is None or _better(new, best_complete):
                     best_complete = new
@@ -350,24 +351,18 @@ def beam_parse(model, words, cfg=None):
                 if cur is None or _better(new, cur):
                     frontier[new.labels] = new
         if not frontier and lookahead != STAR:
-            return None
-    if best_complete is None:
-        return None
-    return best_complete.trees[0]
+            break
+    if truncated:
+        log.warning("beam_parse dropped states past max_states=%d: %s",
+                    cfg.max_states, ", ".join("%d at word position %d" % (n, k)
+                                              for k, n in truncated))
+    return None if best_complete is None else best_complete.trees[0]
 
 
 def _apply_to_state(state, move, logp):
-    if move.kind == SHIFT:
-        labels = state.labels + (move.label,)
-        trees = state.trees + (Tree(move.label),)
-    elif move.kind == REDUCE1:
-        labels = state.labels[:-1] + (move.label,)
-        trees = state.trees[:-1] + (Tree(move.label, (state.trees[-1],)),)
-    else:
-        labels = state.labels[:-2] + (move.label,)
-        trees = state.trees[:-2] + (
-            Tree(move.label, (state.trees[-2], state.trees[-1])),)
-    return _State(state.logp + logp, state.moves + (move,), labels, trees)
+    return _State(state.logp + logp, state.moves + (move,),
+                  apply_move(state.labels, move),
+                  _push_tree(state.trees, move))
 
 
 def parse_corpus(model, sentences, cfg=None):

@@ -155,10 +155,15 @@ train = %s
 heldout = %s
 test = %s
 """ % (tmp_path / "out", train, train, test))
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "report.tsv").write_text("an earlier run\n")
     assert cli.main(["experiment", cfg_path]) == 1
     assert capsys.readouterr().err == (
         "error: %s: sentence 2 (variant joint): dead lattice: sentence has "
         "zero probability\n" % test)
+    # a failed pipeline writes nothing: the output directory is as it was
+    assert os.listdir(tmp_path / "out") == ["report.tsv"]
+    assert (tmp_path / "out" / "report.tsv").read_text() == "an earlier run\n"
     model = str(tmp_path / "joint.txt")
     assert cli.main(["train-tagger", "--train", train, "-o", model]) == 0
     sents = _write(tmp_path / "sents.txt", "a c\na b\n")
@@ -167,6 +172,7 @@ test = %s
     assert capsys.readouterr().err == (
         "error: %s: sentence 2: dead lattice: sentence has zero "
         "probability\n" % sents)
+    assert not (tmp_path / "tags.txt").exists()
 
 
 def test_sr_round_trip(data_dir, tmp_path):

@@ -128,6 +128,28 @@ def test_random_grammar_ignores_hash_seed():
     assert outs[0].count("\n") == 20
 
 
+def test_mcle_ignores_hash_seed(tmp_path):
+    # each left-hand side's weights are summed in rule order, not set order
+    here = os.path.dirname(os.path.abspath(__file__))
+    data = tmp_path / "data"
+    toydata.write_all(str(data))
+    outs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / ("out" + hash_seed)
+        cfg = tmp_path / ("exp%s.cfg" % hash_seed)
+        cfg.write_text("[experiment]\npipeline = pcfg-mle-vs-mcle\n"
+                       "output_dir = %s\n[corpus]\ntrain = %s\ntest = %s\n"
+                       % (out, data / "pcfg_train.mrg", data / "pcfg_test.mrg"))
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.path.join(os.path.dirname(here), "src"))
+        subprocess.run([sys.executable, "-m", "condest.cli", "experiment",
+                        str(cfg)], env=env, check=True, capture_output=True)
+        outs.append([(out / name).read_bytes()
+                     for name in ("cll_trace.txt", "mcle.gram")])
+    assert outs[0] == outs[1]
+    assert outs[0][0].count(b"\n") > 2
+
+
 def test_inside_outside_matches_enumeration():
     for seed in range(5):
         rng = random.Random(seed)

@@ -1,15 +1,17 @@
+import logging
 import math
 import random
 
 import pytest
 
-from condest.shiftreduce import (STAR, BeamConfig, Move, ParserError,
+from condest import toydata
+from condest.shiftreduce import (SHIFT, STAR, BeamConfig, Move, ParserError,
                                  apply_move, beam_parse, estimate_conditional,
                                  estimate_joint, load_sr, oracle_moves,
                                  parse_corpus, parse_log_prob, reduce1,
                                  reduce2, save_sr, shift, stack_top2,
                                  tree_from_moves)
-from condest.trees import Corpus, parse_trees, tree_yield
+from condest.trees import Corpus, binarize, parse_trees, tree_yield
 from oracles import brute_sr_best, enumerate_sr_parses, random_binary_tree
 
 
@@ -178,6 +180,62 @@ def test_beam_matches_brute_force():
         assert got == tree_from_moves(list(want[0]))
         assert parse_log_prob(model, list(want[0]), words) == \
             pytest.approx(want[1])
+
+
+def test_beam_logs_max_states_truncation(caplog):
+    model = estimate_joint(Corpus([t("(S b (X b b))"), t("(S b)"),
+                                   t("(S b a)")]))
+    with caplog.at_level(logging.WARNING, logger="condest.shiftreduce"):
+        assert beam_parse(model, ["b", "a"]) is not None
+        assert not caplog.records
+        assert beam_parse(model, ["b", "a"], BeamConfig(max_states=1)) is None
+    # one warning per call, however many word positions were truncated
+    assert [r.getMessage() for r in caplog.records] == [
+        "beam_parse dropped states past max_states=1: 1 at word position 1, "
+        "1 at word position 2"]
+
+
+def _fresh_move_probs(model, s1, s2, la):
+    """The masked, renormalised table distribution, derived from scratch."""
+    if model.flavor == "joint":
+        dist = model.joint_table.dist((s1, s2))
+    else:
+        dist = model.cond_mixture.dist((s1, s2, la))
+    masked = {m: p for m, p in dist.items()
+              if p > 0.0 and model.allowed(m, s1, s2, la)}
+    total = sum(masked.values())
+    return {m: p / total for m, p in masked.items()} if total > 0.0 else {}
+
+
+def test_move_view_matches_fresh_tables():
+    train, heldout, test = toydata.sr_corpora()
+    btrain = Corpus([binarize(x) for x in train])
+    for model in (estimate_joint(btrain),
+                  estimate_conditional(btrain,
+                                       Corpus([binarize(x) for x in heldout]))):
+        seen = []
+        view = model.move_view
+        model.move_view = lambda *ctx: seen.append(ctx) or view(*ctx)
+        for thr in (1e-6, 1e-9):
+            for x in list(test) + list(heldout):
+                beam_parse(model, tree_yield(x), BeamConfig(threshold=thr))
+        contexts = set(seen) | {(s1, s2, "never-seen")
+                                for s1, s2 in model.observed_pairs}
+        assert len(set(seen)) > 50
+        for s1, s2, la in contexts:
+            reduces, shifts = view(s1, s2, la)
+            want = _fresh_move_probs(model, s1, s2, la)
+            assert reduces == tuple((m, math.log(want[m])) for m in
+                                    sorted(want) if m.kind != SHIFT)
+            assert shifts == {m.label: math.log(p) for m, p in want.items()
+                              if m.kind == SHIFT}
+    # the reduce list is in sorted order, not in the table's order
+    model = estimate_joint(Corpus([t("(S (A a) (B b))")]))
+    for mv in (reduce2("Z"), reduce1("Y"), reduce1("A")):
+        model.joint_table.add(("B", "A"), mv)
+    assert model.move_view("B", "A") == (
+        tuple((m, math.log(0.25)) for m in (reduce1("A"), reduce1("Y"),
+                                            reduce2("S"), reduce2("Z"))), {})
 
 
 def test_beam_config_validation():
