@@ -11,7 +11,7 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import evaluation, hmm, pcfg, shiftreduce, trees
 from .pcfg import AscentConfig
@@ -51,19 +51,33 @@ def parse_config_text(text):
     return sections
 
 
+# Every section and key an experiment config may set, with its default
+# (None: no default).
+CONFIG_KEYS = {
+    "experiment": {"pipeline": None, "output_dir": None, "seed": "0"},
+    "corpus": {"train": None, "heldout": None, "test": None},
+    "pcfg": {"max_iters": "200", "tol": "1e-6", "initial_step": "1.0",
+             "line_search_shrink": "0.5"},
+    "beam": {"thresholds": "1e-6 1e-9", "observed_pair_filter": "true"},
+    "bootstrap": {"iterations": "2000"},
+    "treebank": {"head_rules": None},
+}
+
+
 @dataclass
 class ExperimentConfig:
+    """A loaded config; the defaults are those of CONFIG_KEYS."""
     pipeline: str
     train: str
     output_dir: str
-    heldout: str = None
-    test: str = None
-    seed: int = 0
-    ascent: AscentConfig = field(default_factory=AscentConfig)
-    beam_thresholds: tuple = (1e-6, 1e-9)
-    observed_pair_filter: bool = True
-    bootstrap_iterations: int = 2000
-    head_rules: str = None
+    heldout: str
+    test: str
+    seed: int
+    ascent: AscentConfig
+    beam_thresholds: tuple
+    observed_pair_filter: bool
+    bootstrap_iterations: int
+    head_rules: str
 
 
 def _parse_bool(text):
@@ -80,19 +94,25 @@ def load_config(path, check_paths=True):
     with open(path, encoding="utf-8") as f:
         sections = parse_config_text(f.read())
     errors = []
-    exp = sections.get("experiment", {})
-    corpus = sections.get("corpus", {})
-    pipeline = exp.get("pipeline")
+    for name, keys in sections.items():
+        if name not in CONFIG_KEYS:
+            errors.append("unknown section [%s]" % name)
+            continue
+        errors += ["unknown key %s.%s" % (name, key) for key in keys
+                   if key not in CONFIG_KEYS[name]]
+    c = {name: {**defaults, **sections.get(name, {})}
+         for name, defaults in CONFIG_KEYS.items()}
+    exp, corpus, pcfg_sec, beam_sec = (c["experiment"], c["corpus"],
+                                       c["pcfg"], c["beam"])
+    pipeline = exp["pipeline"]
     if pipeline not in PIPELINES:
         errors.append("experiment.pipeline must be one of: %s (got %r)"
                       % (", ".join(PIPELINES), pipeline))
-    if "output_dir" not in exp:
+    if exp["output_dir"] is None:
         errors.append("experiment.output_dir is required")
-    train = corpus.get("train")
+    train, heldout, test = corpus["train"], corpus["heldout"], corpus["test"]
     if not train:
         errors.append("corpus.train is required")
-    heldout = corpus.get("heldout")
-    test = corpus.get("test")
     if pipeline in ("hmm-four-way", "sr-joint-vs-cond") and not heldout:
         errors.append("corpus.heldout is required for pipeline %r" % pipeline)
     if not test:
@@ -103,27 +123,19 @@ def load_config(path, check_paths=True):
                 errors.append("corpus.%s path does not exist: %s" % (name, p))
     cfg = None
     try:
-        pcfg_sec = sections.get("pcfg", {})
-        beam_sec = sections.get("beam", {})
-        boot_sec = sections.get("bootstrap", {})
         cfg = ExperimentConfig(
-            pipeline=pipeline,
-            train=train,
-            heldout=heldout,
-            test=test,
-            output_dir=exp.get("output_dir", "out"),
-            seed=int(exp.get("seed", "0")),
+            pipeline=pipeline, train=train, heldout=heldout, test=test,
+            output_dir=exp["output_dir"], seed=int(exp["seed"]),
             ascent=AscentConfig(
-                max_iters=int(pcfg_sec.get("max_iters", "200")),
-                tol=float(pcfg_sec.get("tol", "1e-6")),
-                initial_step=float(pcfg_sec.get("initial_step", "1.0")),
-                line_search_shrink=float(pcfg_sec.get("line_search_shrink", "0.5"))),
+                max_iters=int(pcfg_sec["max_iters"]),
+                tol=float(pcfg_sec["tol"]),
+                initial_step=float(pcfg_sec["initial_step"]),
+                line_search_shrink=float(pcfg_sec["line_search_shrink"])),
             beam_thresholds=tuple(
-                float(x) for x in beam_sec.get("thresholds", "1e-6 1e-9").split()),
-            observed_pair_filter=_parse_bool(
-                beam_sec.get("observed_pair_filter", "true")),
-            bootstrap_iterations=int(boot_sec.get("iterations", "2000")),
-            head_rules=sections.get("treebank", {}).get("head_rules"))
+                float(x) for x in beam_sec["thresholds"].split()),
+            observed_pair_filter=_parse_bool(beam_sec["observed_pair_filter"]),
+            bootstrap_iterations=int(c["bootstrap"]["iterations"]),
+            head_rules=c["treebank"]["head_rules"])
     except (ValueError, ConfigError) as e:
         errors.append(str(e))
     if errors:
@@ -399,14 +411,13 @@ def _cmd_bootstrap(args):
 
 
 def _cmd_experiment(args):
-    diagnostics = validate_config(args.config)
-    if diagnostics:
-        for d in diagnostics:
-            print(d, file=sys.stderr)
+    try:
+        cfg = load_config(args.config)
+    except ConfigError as e:
+        print(e, file=sys.stderr)   # one diagnostic per line
         return 2
     if args.validate:
         return 0
-    cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
     if args.output_dir is not None:

@@ -27,12 +27,23 @@ VARIANT_MIXTURES = {"joint": (), "conditional": ("pr0",),
                     "joint-prevword": ("pr1",), "joint-nextemit": ("pr0",)}
 VARIANTS = tuple(VARIANT_MIXTURES)
 
-# Mixture components: (EmpiricalTables attribute, projection of the context
-# (w, t_prev)), finest last.  pr0 keys on the current word, pr1 the previous.
-MIXTURES = {
-    "pr0": (("tag_given_word", (0,)), ("trans", (1,)), ("full0", (0, 1))),
-    "pr1": (("tag_given_prevword", (0,)), ("trans", (1,)), ("full1", (0, 1))),
+# Every count table, declared once as (context fields, outcome field) of a
+# position j: the fields are indices into (W_{j-1}, T_{j-1}, W_j, T_j).
+WP, TP, W, T = range(4)
+TABLES = {
+    "trans": ((TP,), T),               # P(T_j | T_{j-1})
+    "emit": ((T,), W),                 # P(W_j | T_j)
+    "emit_prev": ((TP,), W),           # P(W_j | T_{j-1})
+    "tag_given_word": ((W,), T),       # P(T_j | W_j)
+    "tag_given_prevword": ((WP,), T),  # P(T_j | W_{j-1})
+    "full0": ((W, TP), T),             # P(T_j | W_j, T_{j-1})
+    "full1": ((WP, TP), T),            # P(T_j | W_{j-1}, T_{j-1})
 }
+
+# Mixture components, finest last: the finest table's context is the
+# mixture's full context.  pr0 keys on the current word, pr1 the previous.
+MIXTURES = {"pr0": ("tag_given_word", "trans", "full0"),
+            "pr1": ("tag_given_prevword", "trans", "full1")}
 
 
 class TaggingError(ValueError):
@@ -82,17 +93,10 @@ def write_tagged(corpus):
 
 
 class EmpiricalTables:
-    """Count tables for every conditional factor the four models need."""
+    """Raw word counts, and one CondTable attribute per TABLES entry."""
 
-    def __init__(self):
-        self.word_counts = defaultdict(float)  # raw, pre-UNK
-        self.trans = CondTable()               # P(T_j | T_{j-1})
-        self.emit = CondTable()                # P(W_j | T_j)
-        self.emit_prev = CondTable()           # P(W_j | T_{j-1})
-        self.tag_given_word = CondTable()      # P(T_j | W_j)
-        self.tag_given_prevword = CondTable()  # P(T_j | W_{j-1})
-        self.full0 = CondTable()               # P(T_j | W_j, T_{j-1})
-        self.full1 = CondTable()               # P(T_j | W_{j-1}, T_{j-1})
+    def __init__(self, word_counts):
+        self.word_counts = word_counts  # raw, pre-UNK
 
     @functools.cached_property
     def tagset(self):
@@ -101,63 +105,61 @@ class EmpiricalTables:
         return tuple(sorted({t for _ctx, t, _c in self.trans.items()} - {END}))
 
     def components(self, target):
-        """The ``target`` mixture's components over these tables."""
-        return [(getattr(self, name), idx) for name, idx in MIXTURES[target]]
+        """The ``target`` mixture's components over these tables, each
+        table with its context's places in the full context."""
+        full = TABLES[MIXTURES[target][-1]][0]
+        return [(getattr(self, name), tuple(map(full.index, TABLES[name][0])))
+                for name in MIXTURES[target]]
 
     def map_word(self, w):
         if w == END:
             return w
         return w if self.word_counts.get(w, 0) >= UNK_THRESHOLD else UNK
 
+    def walk(self, corpus):
+        """Positions j = 1..m+1 of each sentence as the four columns of
+        TABLES, words UNK-mapped; sentences share the END between them."""
+        ws, ts = [END], [END]
+        for words, tags in corpus:
+            ws += [*map(self.map_word, words), END]
+            ts += [*tags, END]
+        return ws[:-1], ts[:-1], ws[1:], ts[1:]
+
+
+def table_pairs(positions, name):
+    """Table ``name``'s (context, outcome) pairs over walked positions."""
+    ctx, out = TABLES[name]
+    return zip(zip(*(positions[f] for f in ctx)), positions[out])
+
 
 def collect_tables(train):
     """Exact counts over a corpus, including both end-marker transitions."""
     if not len(train):
         raise TaggingError("empty training corpus")
-    tables = EmpiricalTables()
+    word_counts = defaultdict(float)
     for words, _tags in train:
         for w in words:
-            tables.word_counts[w] += 1
-    for words, tags in train:
-        ws = [END] + [tables.map_word(w) for w in words] + [END]
-        ts = [END] + list(tags) + [END]
-        for j in range(1, len(ws)):
-            w, t = ws[j], ts[j]
-            wp, tp = ws[j - 1], ts[j - 1]
-            tables.trans.add((tp,), t)
-            tables.emit.add((t,), w)
-            tables.emit_prev.add((tp,), w)
-            tables.tag_given_word.add((w,), t)
-            tables.tag_given_prevword.add((wp,), t)
-            tables.full0.add((w, tp), t)
-            tables.full1.add((wp, tp), t)
+            word_counts[w] += 1
+    tables = EmpiricalTables(word_counts)
+    positions = tables.walk(train)
+    for name in TABLES:
+        setattr(tables, name, CondTable(table_pairs(positions, name)))
     return tables
 
 
-def _heldout_events(tables, heldout, target):
-    back = 0 if target == "pr0" else 1  # pr1 keys on the previous word
-    events = []
-    for words, tags in heldout:
-        ws = [END] + [tables.map_word(w) for w in words] + [END]
-        ts = [END] + list(tags) + [END]
-        events += [((ws[j - back], ts[j - 1]), ts[j]) for j in range(1, len(ws))]
-    return events
-
-
-def fit_deleted_interpolation(tables, heldout, target="pr0",
-                              max_iters=100, tol=1e-7):
+def fit_deleted_interpolation(tables, heldout, target="pr0"):
     """Fit bucketed mixture weights on heldout data by EM.
 
     target "pr0" mixes P(T|W), P(T|T_prev), P(T|W,T_prev); target "pr1"
-    mixes the previous-word analogues.
-    """
+    mixes the previous-word analogues.  The heldout events are the pairs of
+    the finest table over the heldout positions."""
     if not len(heldout):
         raise TaggingError("empty heldout corpus")
     if target not in MIXTURES:
         raise ValueError("target must be 'pr0' or 'pr1'")
-    return fit_interpolation(tables.components(target),
-                             _heldout_events(tables, heldout, target),
-                             max_iters=max_iters, tol=tol)
+    return fit_interpolation(
+        tables.components(target),
+        table_pairs(tables.walk(heldout), MIXTURES[target][-1]))
 
 
 class TaggerModel:
@@ -227,14 +229,11 @@ class TaggerModel:
     def sequence_log_prob(self, words, tags):
         if len(words) != len(tags):
             raise TaggingError("words/tags length mismatch")
-        ws = [END] + [self.tables.map_word(w) for w in words] + [END]
-        ts = [END] + list(tags) + [END]
         if any(t not in self._index for t in tags):
             return float("-inf")
         lp = 0.0
-        for j in range(1, len(ws)):
-            p = self.edge_weight(ws[j - 1], ws[j])[self._index[ts[j - 1]],
-                                                   self._index[ts[j]]]
+        for wp, tp, w, t in zip(*self.tables.walk([(words, tags)])):
+            p = self.edge_weight(wp, w)[self._index[tp], self._index[t]]
             if p <= 0.0:
                 return float("-inf")
             lp += math.log(p)
@@ -337,14 +336,11 @@ def tagging_accuracy(pred, gold):
 # Persistence: count tables and per-bucket weights of each mixture, the
 # weights left empty for a mixture the variant does not use.
 
-_TABLE_FIELDS = ("trans", "emit", "emit_prev", "tag_given_word",
-                 "tag_given_prevword", "full0", "full1")
-
 TAGGER_SCHEMA = {
     "meta": {"variant": modelfile.one_of(*VARIANTS)},
     "word_counts": (str, modelfile.number),
     **{"table:" + name: (str, str, modelfile.number)
-       for name in _TABLE_FIELDS},
+       for name in TABLES},
     **{"lambdas:" + target: (int,) + (modelfile.number,) * len(comps)
        for target, comps in MIXTURES.items()},
 }
@@ -355,7 +351,7 @@ def save_tagger(model, path):
     sections = [("meta", [("variant", model.variant)]),
                 ("word_counts", sorted(tb.word_counts.items()))]
     sections += [("table:" + name, modelfile.table_rows(getattr(tb, name)))
-                 for name in _TABLE_FIELDS]
+                 for name in TABLES]
     for target in MIXTURES:
         mix = getattr(model, target)
         lambdas = mix.lambdas if mix is not None else {}
@@ -366,10 +362,10 @@ def save_tagger(model, path):
 
 def load_tagger(path):
     f = modelfile.read(path, TAGGER_SCHEMA, TaggingError)
-    tables = EmpiricalTables()
-    tables.word_counts.update(f["word_counts"])
-    for name in _TABLE_FIELDS:
-        modelfile.fill_table(getattr(tables, name), f["table:" + name])
+    tables = EmpiricalTables(defaultdict(float, f["word_counts"]))
+    for name in TABLES:
+        setattr(tables, name,
+                modelfile.fill_table(CondTable(), f["table:" + name]))
     if not tables.tagset:
         raise TaggingError("%s: [table:trans] has no tags" % path)
     variant = f["meta"]["variant"]

@@ -20,11 +20,17 @@ def bucket_id(count, cap=BUCKET_CAP):
 
 
 class CondTable:
-    """Empirical conditional distribution P(outcome | context) from counts."""
+    """Empirical conditional distribution P(outcome | context): counts of
+    (context, outcome) pairs, kept in first-seen order.  ``add`` adds a
+    weighted count, as a model file's rows do."""
 
-    def __init__(self):
-        self.counts = defaultdict(dict)   # ctx -> {outcome: count}
-        self.totals = defaultdict(float)  # ctx -> total count
+    def __init__(self, pairs=()):
+        self.counts = counts = defaultdict(dict)   # ctx -> {outcome: count}
+        self.totals = totals = defaultdict(float)  # ctx -> total count
+        for ctx, out in pairs:
+            d = counts[ctx]
+            d[out] = d.get(out, 0.0) + 1.0
+            totals[ctx] += 1.0
 
     def add(self, ctx, out, k=1.0):
         d = self.counts[ctx]
@@ -158,14 +164,10 @@ class InterpolatedCondDist:
         return dict(out)
 
 
-def fit_interpolation(components, heldout_events, max_iters=100, tol=1e-7):
-    """Fit an InterpolatedCondDist.
-
-    ``heldout_events`` is a sequence of (full_ctx, outcome) pairs.
-    """
+def fit_interpolation(components, heldout_events):
+    """Fit an InterpolatedCondDist to (full_ctx, outcome) heldout pairs."""
     probe = InterpolatedCondDist(components, {})
     events = [(probe.bucket(c), probe.component_probs(c, out))
               for c, out in heldout_events]
-    lambdas, trace = fit_mixture_weights(events, len(components),
-                                         max_iters=max_iters, tol=tol)
+    lambdas, trace = fit_mixture_weights(events, len(components))
     return InterpolatedCondDist(components, lambdas, trace)

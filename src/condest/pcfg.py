@@ -100,7 +100,6 @@ class AscentConfig:
     tol: float = 1e-6
     initial_step: float = 1.0
     line_search_shrink: float = 0.5
-    max_shrinks: int = 20
 
     def __post_init__(self):
         if self.max_iters <= 0 or self.tol <= 0 or self.initial_step <= 0:
@@ -124,7 +123,8 @@ def tree_productions(t):
 
 
 def extract_counts(corpus):
-    """Exact production usage counts over a corpus of stripped trees."""
+    """Exact production usage counts over a corpus of stripped trees; a
+    leaf that is also a node label would be read as a nonterminal."""
     trees = list(corpus)
     if not trees:
         raise EstimationError("empty corpus")
@@ -132,6 +132,12 @@ def extract_counts(corpus):
     for t in trees:
         for r, c in tree_productions(t).items():
             counts[r] += c
+    labels = {r.lhs for r in counts}
+    for sid, t in zip(corpus.ids, trees):
+        clash = sorted(labels.intersection(tree_yield(t)))
+        if clash:
+            raise EstimationError("tree %r: leaf %r is also a nonterminal "
+                                  "label" % (sid, clash[0]))
     totals = defaultdict(float)
     for r, c in counts.items():
         totals[r.lhs] += c
@@ -343,6 +349,7 @@ def inside_outside(g, x):
 # Conditional likelihood, its gradient, and MCLE gradient ascent.
 
 THETA_FLOOR = 1e-12
+MAX_SHRINKS = 20   # line-search halvings before an ascent step gives up
 
 
 def corpus_stats(g, corpus):
@@ -366,12 +373,6 @@ def corpus_stats(g, corpus):
         for r, c in exp.expected_counts.items():
             expected[r] += c
     return tlp_sum, marg_sum, expected
-
-
-def conditional_log_likelihood(g, corpus):
-    """Sum over sentences of log P(y_i) - log sum_{y in tau(x_i)} P(y)."""
-    tlp_sum, marg_sum, _ = corpus_stats(g, corpus)
-    return tlp_sum - marg_sum
 
 
 def cll_gradient(g, corpus):
@@ -420,7 +421,7 @@ def estimate_mcle(corpus, init, cfg=None, trace=None):
         direction = {r: observed.get(r, 0.0) - expected.get(r, 0.0)
                      for r in g.rules}
         eta = cfg.initial_step
-        for _ in range(cfg.max_shrinks):
+        for _ in range(MAX_SHRINKS):
             cand = _eg_step(g, direction, eta)
             tlp_c, marg_c, exp_c = corpus_stats(cand, corpus)
             if tlp_c - marg_c > cll:

@@ -8,6 +8,7 @@ structural zeros that keep every move applicable, by masking the estimated
 distribution to the allowed move set and renormalizing.
 """
 
+import functools
 import logging
 import math
 from collections import deque
@@ -38,16 +39,9 @@ class Move(NamedTuple):
     label: str
 
 
-def shift(w):
-    return Move(SHIFT, w)
-
-
-def reduce1(c):
-    return Move(REDUCE1, c)
-
-
-def reduce2(c):
-    return Move(REDUCE2, c)
+shift = functools.partial(Move, SHIFT)
+reduce1 = functools.partial(Move, REDUCE1)
+reduce2 = functools.partial(Move, REDUCE2)
 
 
 def stack_top2(stack):
@@ -72,12 +66,6 @@ def _cut(stack, move):
 def apply_move(stack, move):
     """Moves are partial functions from stacks to stacks (label tuples)."""
     return stack[:_cut(stack, move)] + (move.label,)
-
-
-def _push_tree(stack, move):
-    """``apply_move`` on a stack of Tree nodes."""
-    cut = _cut(stack, move)
-    return stack[:cut] + (Tree(move.label, stack[cut:]),)
 
 
 def oracle_moves(t):
@@ -108,7 +96,8 @@ def tree_from_moves(moves):
     """Replay a complete move sequence back into a tree."""
     stack = ()  # Tree nodes
     for move in moves:
-        stack = _push_tree(stack, move)
+        cut = _cut(stack, move)
+        stack = stack[:cut] + (Tree(move.label, stack[cut:]),)
     if len(stack) != 2 or stack[1].label != STAR:
         raise ParserError("move sequence is not a complete parse")
     return stack[0]
@@ -224,35 +213,35 @@ def replay(moves, words):
         raise ParserError("move sequence did not consume the input")
 
 
+def oracle_events(trees):
+    """(s1, s2, lookahead, move) along each tree's oracle moves, in order."""
+    for t in trees:
+        yield from replay(oracle_moves(t), tree_yield(t))
+
+
 def estimate_joint(train):
     """Relative-frequency move model P(m | s1, s2) from binarized trees."""
     trees = list(train)
     if not trees:
         raise ParserError("empty training corpus")
-    table = CondTable()
-    for t in trees:
-        for s1, s2, _la, move in replay(oracle_moves(t), tree_yield(t)):
-            table.add((s1, s2), move)
+    table = CondTable(((s1, s2), move)
+                      for s1, s2, _la, move in oracle_events(trees))
     return MoveModel("joint", trees[0].label, table)
 
 
-def estimate_conditional(train, heldout, max_iters=100, tol=1e-7):
+def estimate_conditional(train, heldout):
     """Conditional move model: bucketed mixture of P(m|s1,s2,w) and
     P(m|s1,s2), weights fitted on heldout trees."""
     trees = list(train)
     held = list(heldout)
     if not trees or not held:
         raise ParserError("empty training or heldout corpus")
-    full = CondTable()
-    coarse = CondTable()
-    for t in trees:
-        for s1, s2, la, move in replay(oracle_moves(t), tree_yield(t)):
-            full.add((s1, s2, la), move)
-            coarse.add((s1, s2), move)
-    events = [((s1, s2, la), move) for t in held
-              for s1, s2, la, move in replay(oracle_moves(t), tree_yield(t))]
-    mixture = fit_interpolation(_cond_components(coarse, full), events,
-                                max_iters=max_iters, tol=tol)
+    events = list(oracle_events(trees))
+    full = CondTable(((s1, s2, la), move) for s1, s2, la, move in events)
+    coarse = CondTable(((s1, s2), move) for s1, s2, _la, move in events)
+    mixture = fit_interpolation(
+        _cond_components(coarse, full),
+        (((s1, s2, la), move) for s1, s2, la, move in oracle_events(held)))
     return MoveModel("conditional", trees[0].label, coarse,
                      cond_mixture=mixture)
 
@@ -277,7 +266,6 @@ class _State(NamedTuple):
     logp: float
     moves: tuple
     labels: tuple   # stack labels, bottom to top
-    trees: tuple    # Tree nodes, bottom to top
 
 
 def _better(a, b):
@@ -307,7 +295,7 @@ def beam_parse(model, words, cfg=None):
             return True
         return stack_top2(state.labels) in model.observed_pairs
 
-    frontier = {(): _State(0.0, (), (), ())}
+    frontier = {(): _State(0.0, (), ())}
     best_complete = None
     truncated = []   # (word position, states dropped) past max_states
     for k, lookahead in enumerate(sentence):
@@ -356,13 +344,13 @@ def beam_parse(model, words, cfg=None):
         log.warning("beam_parse dropped states past max_states=%d: %s",
                     cfg.max_states, ", ".join("%d at word position %d" % (n, k)
                                               for k, n in truncated))
-    return None if best_complete is None else best_complete.trees[0]
+    return (None if best_complete is None
+            else tree_from_moves(best_complete.moves))
 
 
 def _apply_to_state(state, move, logp):
     return _State(state.logp + logp, state.moves + (move,),
-                  apply_move(state.labels, move),
-                  _push_tree(state.trees, move))
+                  apply_move(state.labels, move))
 
 
 def parse_corpus(model, sentences, cfg=None):
@@ -379,7 +367,7 @@ def parse_corpus(model, sentences, cfg=None):
 
 def _read_move(text):
     kind, label = text.split(" ", 1)
-    if kind not in (SHIFT, REDUCE1, REDUCE2):
+    if kind not in ARITY:
         raise ValueError("unknown move kind %r" % kind)
     return Move(kind, label)
 

@@ -9,6 +9,8 @@ import itertools
 import math
 from collections import defaultdict
 
+from condest.hmm import END, UNK, UNK_THRESHOLD
+from condest.interp import CondTable
 from condest.pcfg import Pcfg, Production, tree_productions
 from condest.shiftreduce import SHIFT, STAR, apply_move, shift, stack_top2
 from condest.trees import Tree
@@ -212,6 +214,55 @@ def fit_mixture_weights_loop(events, k, max_iters=100, tol=1e-7):
                 break
         prev_ll = ll
     return lambdas, trace
+
+
+# ---------------------------------------------------------------------------
+# Tagging: the count tables one ``add`` at a time.
+
+def collect_tables_loop(train):
+    """Reference for ``hmm.collect_tables``: (raw word counts, {table name:
+    CondTable}) with one ``add`` per table and position, each sentence
+    framed by its own end markers."""
+    word_counts = defaultdict(float)
+    for words, _tags in train:
+        for w in words:
+            word_counts[w] += 1
+
+    def map_word(w):
+        return w if w == END or word_counts.get(w, 0) >= UNK_THRESHOLD \
+            else UNK
+
+    names = ("trans", "emit", "emit_prev", "tag_given_word",
+             "tag_given_prevword", "full0", "full1")
+    tables = {name: CondTable() for name in names}
+    for words, tags in train:
+        ws = [END] + [map_word(w) for w in words] + [END]
+        ts = [END] + list(tags) + [END]
+        for j in range(1, len(ws)):
+            w, t = ws[j], ts[j]
+            wp, tp = ws[j - 1], ts[j - 1]
+            tables["trans"].add((tp,), t)
+            tables["emit"].add((t,), w)
+            tables["emit_prev"].add((tp,), w)
+            tables["tag_given_word"].add((w,), t)
+            tables["tag_given_prevword"].add((wp,), t)
+            tables["full0"].add((w, tp), t)
+            tables["full1"].add((wp, tp), t)
+    return word_counts, tables
+
+
+def heldout_events_loop(tables, heldout, target):
+    """Reference for the heldout events of a tagger mixture: ((w, t_prev),
+    t) for "pr0", ((w_prev, t_prev), t) for "pr1", words mapped by
+    ``tables.map_word``."""
+    back = 0 if target == "pr0" else 1
+    events = []
+    for words, tags in heldout:
+        ws = [END] + [tables.map_word(w) for w in words] + [END]
+        ts = [END] + list(tags) + [END]
+        events += [((ws[j - back], ts[j - 1]), ts[j])
+                   for j in range(1, len(ws))]
+    return events
 
 
 # ---------------------------------------------------------------------------

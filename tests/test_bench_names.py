@@ -1,0 +1,47 @@
+"""Every function the benchmark's probes wrap (bench/probes.py) resolves in
+``condest``, and the wrappers install and come off again.  A rename then
+fails here instead of in a benchmark run."""
+
+import importlib.util
+import os
+
+BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+
+
+def _probes():
+    spec = importlib.util.spec_from_file_location(
+        "bench_probes", os.path.join(BENCH, "probes.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_probe_targets_resolve():
+    probes = _probes()
+    tracer = probes.Tracer
+    targets = (probes.TRAIN_TARGETS + probes.DECODE_TARGETS
+               + probes.PROBE_POINTS
+               + tuple(tracer.TARGETS.get(name, name)
+                       for name in tracer.SPANS + tracer.COUNTS))
+    for target in targets:
+        owner, attr, is_method = probes._resolve(target)
+        fn = vars(owner).get(attr) if is_method else getattr(owner, attr, None)
+        assert fn is not None, target
+        assert callable(getattr(fn, "__func__", fn)), target
+
+
+def test_probes_install_and_restore():
+    from condest import hmm, interp
+    probes = _probes()
+    before = (hmm.collect_tables, hmm.fit_interpolation,
+              interp.fit_mixture_weights, vars(hmm.TaggerModel)["train"])
+    clock, tracer = probes.StageClock(), probes.Tracer()
+    try:
+        tracer.install()
+        assert hmm.collect_tables is not before[0]
+    finally:
+        tracer.uninstall()
+        clock.close()
+    assert (hmm.collect_tables, hmm.fit_interpolation,
+            interp.fit_mixture_weights,
+            vars(hmm.TaggerModel)["train"]) == before

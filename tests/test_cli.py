@@ -73,6 +73,35 @@ iterations = 50
     assert cfg.beam_thresholds == (1e-6, 1e-9)
 
 
+def test_unknown_section_or_key_is_refused(data_dir, tmp_path, capsys):
+    cfg = _write(tmp_path / "typo.cfg", """
+[experiment]
+pipeline = pcfg-mle-vs-mcle
+output_dir = %s
+[corpus]
+train = %s
+test = %s
+[pcfg]
+max_iter = 5
+[beams]
+""" % (tmp_path / "out", data_dir / "pcfg_train.mrg", data_dir / "pcfg_test.mrg"))
+    assert validate_config(cfg) == ["unknown key pcfg.max_iter",
+                                    "unknown section [beams]"]
+    assert cli.main(["experiment", cfg, "--validate"]) == 2
+    assert "unknown key pcfg.max_iter" in capsys.readouterr().err
+
+
+def test_readme_config_loads(tmp_path):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        text = f.read()
+    block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = load_config(_write(tmp_path / "readme.cfg", block), check_paths=False)
+    assert cfg.pipeline == "pcfg-mle-vs-mcle"
+    assert cfg.heldout is None
+    assert cfg.beam_thresholds == (1e-6, 1e-9)
+
+
 def test_heldout_required_for_hmm(data_dir, tmp_path):
     cfg_path = _write(tmp_path / "h.cfg", """
 [experiment]
@@ -125,6 +154,17 @@ def test_train_pcfg_mcle_mode(data_dir, tmp_path):
                      str(data_dir / "pcfg_train.mrg"), "--mode", "mcle",
                      "--max-iters", "5", "-o", gram]) == 0
     assert pcfg.load_grammar(gram).start == "S"
+
+
+def test_leaf_that_is_a_label_is_refused(tmp_path, capsys):
+    train = _write(tmp_path / "train.mrg", "(S (A a) (B b))\n(S ([ [) (A a))\n")
+    for mode in ("mle", "mcle"):
+        gram = str(tmp_path / (mode + ".gram"))
+        assert cli.main(["train-pcfg", "--train", train, "--mode", mode,
+                         "-o", gram]) == 1
+        assert capsys.readouterr().err == (
+            "error: tree 1: leaf '[' is also a nonterminal label\n")
+        assert not os.path.exists(gram)
 
 
 def test_tagger_round_trip(data_dir, tmp_path):

@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condest import toydata
-from condest.hmm import (END, UNK, VARIANTS, TaggedCorpus, TaggerModel,
-                         TaggingError, collect_tables,
+from condest.hmm import (END, MIXTURES, TABLES, UNK, VARIANTS, TaggedCorpus,
+                         TaggerModel, TaggingError, collect_tables,
                          fit_deleted_interpolation, load_tagger, read_tagged,
-                         save_tagger, tagging_accuracy, write_tagged)
-from oracles import brute_tag_decode, brute_tag_marginals, brute_tag_partition
+                         save_tagger, table_pairs, tagging_accuracy,
+                         write_tagged)
+from oracles import (brute_tag_decode, brute_tag_marginals,
+                     brute_tag_partition, collect_tables_loop,
+                     heldout_events_loop)
 
 
 @pytest.fixture
@@ -56,6 +61,46 @@ def test_collect_tables_counts(det_corpus):
     assert tb.tag_given_word.prob(("ka",), "X") == 1.0
     assert tb.full0.prob(("ka", END), "X") == 1.0
     assert tb.full1.prob((END, END), "X") == 1.0
+
+
+def _rows(table):
+    """A CondTable's contexts, each with its outcomes and counts, and its
+    totals, all in insertion order."""
+    return ([(ctx, list(d.items())) for ctx, d in table.counts.items()],
+            list(table.totals.items()))
+
+
+# Small vocabularies, so that words fall below the UNK threshold and
+# contexts repeat.
+TAGGED = st.lists(st.lists(st.tuples(st.sampled_from("abcde"),
+                                     st.sampled_from("XYZ")),
+                           min_size=1, max_size=5),
+                  min_size=1, max_size=6).map(
+    lambda sents: TaggedCorpus([tuple(map(tuple, zip(*s))) for s in sents]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(train=TAGGED, heldout=TAGGED)
+def test_tables_and_events_match_add_loop(train, heldout):
+    """Every table in its insertion order, and the pr0/pr1 heldout events,
+    equal those of one add per table and position (tests/oracles.py)."""
+    tb = collect_tables(train)
+    word_counts, want = collect_tables_loop(train)
+    assert list(tb.word_counts.items()) == list(word_counts.items())
+    assert list(TABLES) == list(want)
+    for name, table in want.items():
+        assert _rows(getattr(tb, name)) == _rows(table)
+    for target, names in MIXTURES.items():
+        events = list(table_pairs(tb.walk(heldout), names[-1]))
+        assert events == heldout_events_loop(tb, heldout, target)
+
+
+def test_mixture_components_project_the_full_context():
+    tb = collect_tables(toydata.hmm_corpora()[0])
+    assert tb.components("pr0") == [(tb.tag_given_word, (0,)),
+                                    (tb.trans, (1,)), (tb.full0, (0, 1))]
+    assert tb.components("pr1") == [(tb.tag_given_prevword, (0,)),
+                                    (tb.trans, (1,)), (tb.full1, (0, 1))]
 
 
 def test_rare_words_mapped_to_unk():

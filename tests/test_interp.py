@@ -31,6 +31,26 @@ def test_cond_table():
     assert sorted(t.items()) == [(("c",), "x", 2.0), (("c",), "y", 1.0)]
 
 
+PAIRS = st.lists(st.tuples(
+    st.one_of(st.tuples(st.sampled_from("abc")),
+              st.tuples(st.sampled_from("ab"), st.sampled_from("ab"))),
+    st.sampled_from("xyz")))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pairs=PAIRS)
+def test_cond_table_from_pairs_equals_add_loop(pairs):
+    got = CondTable(iter(pairs))
+    want = CondTable()
+    for ctx, out in pairs:
+        want.add(ctx, out)
+    assert [(c, list(d.items())) for c, d in got.counts.items()] == \
+        [(c, list(d.items())) for c, d in want.counts.items()]
+    assert list(got.totals.items()) == list(want.totals.items())
+    for ctx in want.contexts():
+        assert list(got.dist(ctx).items()) == list(want.dist(ctx).items())
+
+
 def test_mixture_degenerate():
     # second component always wrong: all weight moves to the first
     events = [(0, (1.0, 0.0))] * 5

@@ -17,7 +17,7 @@ from condest.pcfg import (EstimationError, estimate_mle, extract_counts,
                           load_grammar, save_grammar)
 from condest.shiftreduce import (ParserError, estimate_conditional,
                                  estimate_joint, load_sr, save_sr)
-from condest.trees import Corpus, tree_yield
+from condest.trees import Corpus, tree_yield, write_bracketed
 from oracles import random_binary_tree
 
 # Symbols as the corpus readers produce them (no whitespace), drawn to
@@ -27,21 +27,31 @@ SYMBOLS = st.text(alphabet="ab[#]_", min_size=1, max_size=3)
 
 
 @st.composite
-def treebanks(draw):
-    """Binarized trees sharing one root label; returns (trees, yields)."""
+def treebanks(draw, clash=None):
+    """Binarized trees sharing one root label; returns (trees, yields).
+
+    Leaves and labels are drawn from one alphabet, so a leaf may also be a
+    label.  With ``clash`` False none is; with ``clash`` True the first
+    tree has one leaf equal to the root label and no other such leaf.
+    """
     labels = draw(st.lists(SYMBOLS, min_size=1, max_size=3, unique=True))
-    leaves = draw(st.lists(SYMBOLS, min_size=1, max_size=3, unique=True))
+    leaf = SYMBOLS if clash is None else SYMBOLS.filter(
+        lambda s: s not in labels)
+    leaves = draw(st.lists(leaf, min_size=1, max_size=3, unique=True))
     rng = draw(st.randoms(use_true_random=False))
-    trees = [random_binary_tree(
-        rng, [rng.choice(leaves) for _ in range(rng.randint(1, 4))],
-        labels=tuple(labels), root=labels[0])
-        for _ in range(rng.randint(1, 4))]
+    trees = []
+    for i in range(rng.randint(1, 4)):
+        words = [rng.choice(leaves) for _ in range(rng.randint(1, 4))]
+        if clash and i == 0:
+            words[rng.randrange(len(words))] = labels[0]
+        trees.append(random_binary_tree(rng, words, labels=tuple(labels),
+                                        root=labels[0]))
     return Corpus(trees), [tree_yield(t) for t in trees]
 
 
 @st.composite
 def grammars(draw):
-    trees, yields = draw(treebanks())
+    trees, yields = draw(treebanks(clash=False))
     return estimate_mle(extract_counts(trees)), yields
 
 
@@ -155,3 +165,23 @@ def test_repeated_row_is_refused(name, data):
             f.write("".join(line + "\n" for line in lines))
         with pytest.raises(kind.error, match="%s:%d: " % (path, i + 2)):
             kind.load(path)
+
+
+@CODEC
+@given(data=st.data())
+def test_leaf_that_is_a_label_is_refused(data):
+    """A treebank with a leaf that is also a node label does not train a
+    grammar: train-pcfg exits 1 naming the tree and the symbol, and writes
+    nothing."""
+    trees, _yields = data.draw(treebanks(clash=True))
+    with tempfile.TemporaryDirectory() as d:
+        path, out = os.path.join(d, "train.mrg"), os.path.join(d, "g.gram")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(write_bracketed(trees))
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert cli.main(["train-pcfg", "--train", path, "-o", out]) == 1
+        assert err.getvalue() == (
+            "error: tree 0: leaf %r is also a nonterminal label\n"
+            % trees.trees[0].label)
+        assert not os.path.exists(out)
