@@ -8,10 +8,11 @@ Exit codes: 0 ok, 1 data error, 2 config error.
 
 import argparse
 import os
+import re
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass
+import types
 
 from . import evaluation, hmm, pcfg, shiftreduce, trees
 from .pcfg import AscentConfig
@@ -21,15 +22,14 @@ DATA_ERRORS = (trees.TreebankError, pcfg.EstimationError, hmm.TaggingError,
                shiftreduce.ParserError, evaluation.EvalError,
                OSError, UnicodeDecodeError)
 
-PIPELINES = ("pcfg-mle-vs-mcle", "hmm-four-way", "sr-joint-vs-cond")
-
 
 class ConfigError(ValueError):
     pass
 
 
 # ---------------------------------------------------------------------------
-# Line-oriented key/value config with [section] headers.
+# Line-oriented key/value config with [section] headers.  A comment takes a
+# whole line; a key appears once per section.
 
 def parse_config_text(text):
     sections = {}
@@ -38,6 +38,9 @@ def parse_config_text(text):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        if re.search(r"\s#", line):
+            raise ConfigError("line %d: a comment must take a whole line"
+                              % lineno)
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
             sections.setdefault(current, {})
@@ -46,38 +49,30 @@ def parse_config_text(text):
             raise ConfigError("line %d: expected 'key = value'" % lineno)
         if current is None:
             raise ConfigError("line %d: key outside any [section]" % lineno)
-        key, val = line.split("=", 1)
-        sections[current][key.strip()] = val.strip()
+        key, val = (x.strip() for x in line.split("=", 1))
+        if key in sections[current]:
+            raise ConfigError("line %d: key %s.%s repeated"
+                              % (lineno, current, key))
+        sections[current][key] = val
     return sections
 
 
-# Every section and key an experiment config may set, with its default
-# (None: no default).
-CONFIG_KEYS = {
-    "experiment": {"pipeline": None, "output_dir": None, "seed": "0"},
-    "corpus": {"train": None, "heldout": None, "test": None},
-    "pcfg": {"max_iters": "200", "tol": "1e-6", "initial_step": "1.0",
-             "line_search_shrink": "0.5"},
-    "beam": {"thresholds": "1e-6 1e-9", "observed_pair_filter": "true"},
-    "bootstrap": {"iterations": "2000"},
-    "treebank": {"head_rules": None},
-}
+# Config values: a converter raises ValueError on bad text.
+
+REQUIRED = object()   # the default of a key that must be set
 
 
-@dataclass
-class ExperimentConfig:
-    """A loaded config; the defaults are those of CONFIG_KEYS."""
-    pipeline: str
-    train: str
-    output_dir: str
-    heldout: str
-    test: str
-    seed: int
-    ascent: AscentConfig
-    beam_thresholds: tuple
-    observed_pair_filter: bool
-    bootstrap_iterations: int
-    head_rules: str
+def _pipeline_name(text):
+    if text not in PIPELINES:
+        raise ValueError("must be one of: %s (got %r)"
+                         % (", ".join(PIPELINES), text))
+    return text
+
+
+def _path(text):
+    if not os.path.exists(text):
+        raise ValueError("path does not exist: %s" % text)
+    return text
 
 
 def _parse_bool(text):
@@ -85,71 +80,70 @@ def _parse_bool(text):
         return True
     if text.lower() in ("false", "no", "0"):
         return False
-    raise ConfigError("expected a boolean, got %r" % text)
+    raise ValueError("expected a boolean, got %r" % text)
 
 
-def load_config(path, check_paths=True):
-    """Load and validate an experiment config; raises ConfigError listing
-    every problem found."""
+def _field(cls, name, parse):
+    """A key that sets field ``name`` of dataclass ``cls``: the dataclass
+    checks the value and holds the default."""
+    return (lambda text: getattr(cls(**{name: parse(text)}), name),
+            getattr(cls, name))
+
+
+def _thresholds(text):
+    return tuple(BeamConfig(threshold=float(x)).threshold
+                 for x in text.split())
+
+
+def _corpus(*extra):
+    """The [corpus] keys: train, then ``extra``, then test."""
+    return {"corpus": {part: (_path, REQUIRED)
+                       for part in ("train",) + extra + ("test",)}}
+
+
+# The [experiment] keys, which every pipeline reads: key -> (converter,
+# default).  Each pipeline's own keys are declared with it in PIPELINES.
+EXPERIMENT_KEYS = {"pipeline": (_pipeline_name, REQUIRED),
+                   "output_dir": (str, REQUIRED),
+                   "seed": (int, 0)}
+
+
+def load_config(path):
+    """Load an experiment config: the [experiment] keys and those of its
+    pipeline, each converted, defaulted and, if a path, checked to exist.
+    Any other section or key is an error; for an unknown pipeline only the
+    keys every pipeline reads are checked.  Returns a namespace with one
+    attribute per key; raises ConfigError listing every problem found."""
     with open(path, encoding="utf-8") as f:
-        sections = parse_config_text(f.read())
+        given = parse_config_text(f.read())
+    name = given.get("experiment", {}).get("pipeline")
+    declared = {"experiment": EXPERIMENT_KEYS,
+                **(PIPELINES[name][1] if name in PIPELINES else _corpus())}
     errors = []
-    for name, keys in sections.items():
-        if name not in CONFIG_KEYS:
-            errors.append("unknown section [%s]" % name)
-            continue
-        errors += ["unknown key %s.%s" % (name, key) for key in keys
-                   if key not in CONFIG_KEYS[name]]
-    c = {name: {**defaults, **sections.get(name, {})}
-         for name, defaults in CONFIG_KEYS.items()}
-    exp, corpus, pcfg_sec, beam_sec = (c["experiment"], c["corpus"],
-                                       c["pcfg"], c["beam"])
-    pipeline = exp["pipeline"]
-    if pipeline not in PIPELINES:
-        errors.append("experiment.pipeline must be one of: %s (got %r)"
-                      % (", ".join(PIPELINES), pipeline))
-    if exp["output_dir"] is None:
-        errors.append("experiment.output_dir is required")
-    train, heldout, test = corpus["train"], corpus["heldout"], corpus["test"]
-    if not train:
-        errors.append("corpus.train is required")
-    if pipeline in ("hmm-four-way", "sr-joint-vs-cond") and not heldout:
-        errors.append("corpus.heldout is required for pipeline %r" % pipeline)
-    if not test:
-        errors.append("corpus.test is required")
-    if check_paths:
-        for name, p in (("train", train), ("heldout", heldout), ("test", test)):
-            if p and not os.path.exists(p):
-                errors.append("corpus.%s path does not exist: %s" % (name, p))
-    cfg = None
-    try:
-        cfg = ExperimentConfig(
-            pipeline=pipeline, train=train, heldout=heldout, test=test,
-            output_dir=exp["output_dir"], seed=int(exp["seed"]),
-            ascent=AscentConfig(
-                max_iters=int(pcfg_sec["max_iters"]),
-                tol=float(pcfg_sec["tol"]),
-                initial_step=float(pcfg_sec["initial_step"]),
-                line_search_shrink=float(pcfg_sec["line_search_shrink"])),
-            beam_thresholds=tuple(
-                float(x) for x in beam_sec["thresholds"].split()),
-            observed_pair_filter=_parse_bool(beam_sec["observed_pair_filter"]),
-            bootstrap_iterations=int(c["bootstrap"]["iterations"]),
-            head_rules=c["treebank"]["head_rules"])
-    except (ValueError, ConfigError) as e:
-        errors.append(str(e))
+    for section, values in given.items() if name in PIPELINES else ():
+        if section not in declared:
+            errors.append("unknown section [%s] for pipeline %s"
+                          % (section, name))
+        else:
+            errors += ["unknown key %s.%s for pipeline %s"
+                       % (section, key, name)
+                       for key in values if key not in declared[section]]
+    cfg = types.SimpleNamespace()
+    for section, keys in declared.items():
+        for key, (convert, default) in keys.items():
+            text = given.get(section, {}).get(key)
+            value = default
+            if text is None and default is REQUIRED:
+                errors.append("%s.%s is required" % (section, key))
+            elif text is not None:
+                try:
+                    value = convert(text)
+                except ValueError as e:
+                    errors.append("%s.%s: %s" % (section, key, e))
+            setattr(cfg, key, value)
     if errors:
         raise ConfigError("\n".join(errors))
     return cfg
-
-
-def validate_config(path):
-    """List of diagnostics for a config file; empty means valid."""
-    try:
-        load_config(path)
-    except ConfigError as e:
-        return str(e).split("\n")
-    return []
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +157,11 @@ def _read_trees(path):
 def _read_sentences(path):
     with open(path, encoding="utf-8") as f:
         return [line.split() for line in f if line.strip()]
+
+
+def _read_binarized(path, rules):
+    return trees.Corpus([trees.binarize(t, rules)
+                         for t in _read_trees(path)])
 
 
 def _read_tagged(path):
@@ -202,59 +201,54 @@ def _head_rules(path):
     return trees.HeadRules.from_file(path) if path else trees.HeadRules()
 
 
+def _given(args, *names):
+    """The named options that were given on the command line."""
+    return {name: getattr(args, name) for name in names if name in args}
+
+
 def _fmt(x):
     return "%.6f" % x
 
 
 # ---------------------------------------------------------------------------
-# Pipelines.
+# Pipelines: each writes its models and predictions under ``out`` and
+# returns the lines of its report.
 
 def _pipeline_pcfg(cfg, out):
-    train = _read_trees(cfg.train)
-    test = _read_trees(cfg.test)
-    counts = pcfg.extract_counts(train)
-    mle = pcfg.estimate_mle(counts)
+    train, test = _read_trees(cfg.train), _read_trees(cfg.test)
+    mle = pcfg.estimate_mle(pcfg.extract_counts(train))
     trace = []
-    mcle = pcfg.estimate_mcle(train, mle, cfg.ascent, trace=trace)
-    pcfg.save_grammar(mle, os.path.join(out, "mle.gram"))
-    pcfg.save_grammar(mcle, os.path.join(out, "mcle.gram"))
-
-    rows = []
-    preds = {}
-    stats = {}
+    mcle = pcfg.estimate_mcle(train, mle, AscentConfig(
+        max_iters=cfg.max_iters, tol=cfg.tol), trace=trace)
+    preds, stats = {}, {}
     for name, g in (("MLE", mle), ("MCLE", mcle)):
+        pcfg.save_grammar(g, os.path.join(out, "%s.gram" % name.lower()))
         tlp, marg, _ = pcfg.corpus_stats(g, train)
-        stats[name] = (-tlp, -(tlp - marg), -marg)
-        pred = [pcfg.viterbi_parse(g, trees.tree_yield(t)) for t in test]
-        preds[name] = pred
+        preds[name] = pred = [pcfg.viterbi_parse(g, trees.tree_yield(t))
+                              for t in test]
         _write_predictions(pred, os.path.join(out, "pred_%s.mrg" % name.lower()))
-    for i, metric in enumerate(("-logP(y)", "-logP(y|x)", "-logP(x)")):
-        rows.append((metric, _fmt(stats["MLE"][i]), _fmt(stats["MCLE"][i])))
-    reports = {name: evaluation.score_corpus(list(test), preds[name])
-               for name in ("MLE", "MCLE")}
-    for metric, attr in (("labelled_precision", "precision"),
-                         ("labelled_recall", "recall"),
-                         ("labelled_f", "f_score")):
-        rows.append((metric, _fmt(getattr(reports["MLE"], attr)),
-                     _fmt(getattr(reports["MCLE"], attr))))
-    boot = evaluation.bootstrap_test(list(test), preds["MLE"], preds["MCLE"],
-                                     iterations=cfg.bootstrap_iterations,
-                                     seed=cfg.seed)
+        rep = evaluation.score_corpus(list(test), pred)
+        stats[name] = (-tlp, -(tlp - marg), -marg,
+                       rep.precision, rep.recall, rep.f_score)
     lines = ["metric\tMLE\tMCLE"]
-    lines += ["\t".join(r) for r in rows]
+    for i, metric in enumerate(("-logP(y)", "-logP(y|x)", "-logP(x)",
+                                "labelled_precision", "labelled_recall",
+                                "labelled_f")):
+        lines.append("%s\t%s\t%s" % (metric, _fmt(stats["MLE"][i]),
+                                     _fmt(stats["MCLE"][i])))
+    boot = evaluation.bootstrap_test(list(test), preds["MLE"], preds["MCLE"],
+                                     iterations=cfg.iterations, seed=cfg.seed)
     lines.append("bootstrap_p(MLE-MCLE)\t%s\t(observed dF=%s)"
                  % (_fmt(boot.p_value), _fmt(boot.observed_delta_f)))
-    with open(os.path.join(out, "report.tsv"), "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
     with open(os.path.join(out, "cll_trace.txt"), "w", encoding="utf-8") as f:
         for v in trace:
             f.write("%.12f\n" % v)
+    return lines
 
 
 def _pipeline_hmm(cfg, out):
-    train = _read_tagged(cfg.train)
-    heldout = _read_tagged(cfg.heldout)
-    test = _read_tagged(cfg.test)
+    train, heldout, test = map(_read_tagged,
+                               (cfg.train, cfg.heldout, cfg.test))
     sentences, gold = [w for w, _t in test], [t for _w, t in test]
     lines = ["variant\taccuracy"]
     for variant in hmm.VARIANTS:
@@ -262,21 +256,17 @@ def _pipeline_hmm(cfg, out):
         hmm.save_tagger(model, os.path.join(out, "tagger_%s.txt" % variant))
         pred = _tag(sentences, model, cfg.test, os.path.join(
             out, "tags_%s.txt" % variant), " (variant %s)" % variant)
-        acc = hmm.tagging_accuracy(pred, gold)
-        lines.append("%s\t%s" % (variant, _fmt(acc)))
-    with open(os.path.join(out, "report.tsv"), "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+        lines.append("%s\t%s" % (variant,
+                                  _fmt(hmm.tagging_accuracy(pred, gold))))
+    return lines
 
 
 def _pipeline_sr(cfg, out):
     rules = _head_rules(cfg.head_rules)
-    train = _read_trees(cfg.train)
-    heldout = _read_trees(cfg.heldout)
-    test = _read_trees(cfg.test)
-    btrain = trees.Corpus([trees.binarize(t, rules) for t in train])
-    bheldout = trees.Corpus([trees.binarize(t, rules) for t in heldout])
-    sentences = [trees.tree_yield(t) for t in test]
-    gold = list(test)
+    btrain = _read_binarized(cfg.train, rules)
+    bheldout = _read_binarized(cfg.heldout, rules)
+    gold = list(_read_trees(cfg.test))
+    sentences = [trees.tree_yield(t) for t in gold]
 
     joint = shiftreduce.estimate_joint(btrain)
     cond = shiftreduce.estimate_conditional(btrain, bheldout)
@@ -286,38 +276,56 @@ def _pipeline_sr(cfg, out):
     pcfg.save_grammar(baseline, os.path.join(out, "pcfg_baseline.gram"))
 
     lines = ["parser\tbeam\tprecision\trecall\tf\tfailures"]
-    for name, model in (("joint", joint), ("conditional", cond)):
-        for thr in cfg.beam_thresholds:
+
+    def report(parser, beam, pred, failures, filename):
+        rep = evaluation.score_corpus(gold, pred)
+        lines.append("%s\t%s\t%s\t%s\t%s\t%d"
+                     % (parser, beam, _fmt(rep.precision), _fmt(rep.recall),
+                        _fmt(rep.f_score), failures))
+        _write_predictions(pred, os.path.join(out, filename))
+
+    for parser, model in (("joint", joint), ("conditional", cond)):
+        for thr in cfg.thresholds:
             beam = BeamConfig(threshold=thr,
                               require_observed_pairs=cfg.observed_pair_filter)
             pred, failures = shiftreduce.parse_corpus(model, sentences, beam)
-            rep = evaluation.score_corpus(gold, pred)
-            lines.append("%s\t%g\t%s\t%s\t%s\t%d"
-                         % (name, thr, _fmt(rep.precision), _fmt(rep.recall),
-                            _fmt(rep.f_score), failures))
-            _write_predictions(pred, os.path.join(
-                out, "pred_%s_%g.mrg" % (name, thr)))
+            report(parser, "%g" % thr, pred, failures,
+                   "pred_%s_%g.mrg" % (parser, thr))
     pred = [pcfg.viterbi_parse(baseline, words) for words in sentences]
     failures = sum(t is None for t in pred)
-    pred = [None if t is None else trees.debinarize(t) for t in pred]
-    rep = evaluation.score_corpus(gold, pred)
-    lines.append("pcfg\t-\t%s\t%s\t%s\t%d"
-                 % (_fmt(rep.precision), _fmt(rep.recall), _fmt(rep.f_score),
-                    failures))
-    _write_predictions(pred, os.path.join(out, "pred_pcfg.mrg"))
-    with open(os.path.join(out, "report.tsv"), "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    report("pcfg", "-", [None if t is None else trees.debinarize(t)
+                         for t in pred], failures, "pred_pcfg.mrg")
+    return lines
+
+
+# Each pipeline: the function that runs it and the config keys it reads
+# besides [experiment], as section -> key -> (converter, default).
+PIPELINES = {
+    "pcfg-mle-vs-mcle": (_pipeline_pcfg, {
+        **_corpus(),
+        "pcfg": {"max_iters": _field(AscentConfig, "max_iters", int),
+                 "tol": _field(AscentConfig, "tol", float)},
+        "bootstrap": {"iterations": (int, 2000)}}),
+    "hmm-four-way": (_pipeline_hmm, _corpus("heldout")),
+    "sr-joint-vs-cond": (_pipeline_sr, {
+        **_corpus("heldout"),
+        "beam": {"thresholds": (_thresholds, (1e-6, 1e-9)),
+                 "observed_pair_filter": _field(
+                     BeamConfig, "require_observed_pairs", _parse_bool)},
+        "treebank": {"head_rules": (_path, None)}}),
+}
 
 
 def run_pipeline(cfg):
-    """Run one experiment pipeline; writes models, predictions and a
-    metrics table under the configured output directory.  They are written
-    to a scratch directory first and copied there only once the whole
-    pipeline has succeeded: a failed run leaves the directory as it was."""
-    pipeline = {"pcfg-mle-vs-mcle": _pipeline_pcfg,
-                "hmm-four-way": _pipeline_hmm}.get(cfg.pipeline, _pipeline_sr)
+    """Run one experiment pipeline; writes models, predictions and the
+    ``report.tsv`` metrics table to a scratch directory, then copies them
+    to the configured output directory once the whole pipeline has
+    succeeded: a failed run leaves that directory as it was."""
     with tempfile.TemporaryDirectory() as scratch:
-        pipeline(cfg, scratch)
+        lines = PIPELINES[cfg.pipeline][0](cfg, scratch)
+        with open(os.path.join(scratch, "report.tsv"), "w",
+                  encoding="utf-8") as f:
+            f.write("\n".join(lines) + "\n")
         shutil.copytree(scratch, cfg.output_dir, dirs_exist_ok=True)
     return 0
 
@@ -327,12 +335,10 @@ def run_pipeline(cfg):
 
 def _cmd_train_pcfg(args):
     corpus = _read_trees(args.train)
-    mle = pcfg.estimate_mle(pcfg.extract_counts(corpus))
-    if args.mode == "mle":
-        g = mle
-    else:
-        cfg = AscentConfig(max_iters=args.max_iters, tol=args.tol)
-        g = pcfg.estimate_mcle(corpus, mle, cfg)
+    g = pcfg.estimate_mle(pcfg.extract_counts(corpus))
+    if args.mode == "mcle":
+        g = pcfg.estimate_mcle(corpus, g, AscentConfig(
+            **_given(args, "max_iters", "tol")))
     pcfg.save_grammar(g, args.output)
     return 0
 
@@ -361,24 +367,22 @@ def _cmd_tag(args):
 
 def _cmd_train_sr(args):
     rules = _head_rules(args.head_rules)
-    train = trees.Corpus(
-        [trees.binarize(t, rules) for t in _read_trees(args.train)])
+    train = _read_binarized(args.train, rules)
     if args.flavor == "joint":
         model = shiftreduce.estimate_joint(train)
     else:
         if not args.heldout:
             raise ConfigError("--flavor cond requires --heldout")
-        heldout = trees.Corpus(
-            [trees.binarize(t, rules) for t in _read_trees(args.heldout)])
-        model = shiftreduce.estimate_conditional(train, heldout)
+        model = shiftreduce.estimate_conditional(
+            train, _read_binarized(args.heldout, rules))
     shiftreduce.save_sr(model, args.output)
     return 0
 
 
 def _cmd_parse_sr(args):
     model = shiftreduce.load_sr(args.model)
-    cfg = BeamConfig(threshold=args.beam,
-                     require_observed_pairs=not args.no_observed_pair_filter)
+    cfg = BeamConfig(require_observed_pairs=not args.no_observed_pair_filter,
+                     **_given(args, "threshold"))
     pred, failures = shiftreduce.parse_corpus(
         model, _read_sentences(args.input), cfg)
     _write_predictions(pred, args.output)
@@ -403,8 +407,8 @@ def _cmd_bootstrap(args):
     gold = list(_read_trees(args.gold))
     a = _read_predictions(args.a)
     b = _read_predictions(args.b)
-    res = evaluation.bootstrap_test(gold, a, b, iterations=args.iterations,
-                                    seed=args.seed)
+    res = evaluation.bootstrap_test(gold, a, b,
+                                    **_given(args, "iterations", "seed"))
     print("p_value\t%s" % _fmt(res.p_value))
     print("observed_delta_f\t%s" % _fmt(res.observed_delta_f))
     return 0
@@ -418,10 +422,7 @@ def _cmd_experiment(args):
         return 2
     if args.validate:
         return 0
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.output_dir is not None:
-        cfg.output_dir = args.output_dir
+    vars(cfg).update(_given(args, "seed", "output_dir"))
     return run_pipeline(cfg)
 
 
@@ -432,75 +433,48 @@ def build_parser():
                     "PCFGs, bitag taggers and shift-reduce parsers.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("train-pcfg")
-    sp.add_argument("--train", required=True)
+    def command(name, func, *required):
+        """A subcommand and its required options."""
+        sp = sub.add_parser(name)
+        sp.set_defaults(func=func)
+        for flags in required:
+            sp.add_argument(*flags.split(), required=True)
+        return sp
+
+    # An option whose default is SUPPRESS keeps, when left out, the default
+    # of the function or dataclass it is passed to (_given).
+    sp = command("train-pcfg", _cmd_train_pcfg, "--train", "-o --output")
     sp.add_argument("--mode", choices=("mle", "mcle"), default="mle")
-    sp.add_argument("--max-iters", type=int, default=200)
-    sp.add_argument("--tol", type=float, default=1e-6)
-    sp.add_argument("-o", "--output", required=True)
-    sp.set_defaults(func=_cmd_train_pcfg)
-
-    sp = sub.add_parser("parse")
-    sp.add_argument("--grammar", required=True)
-    sp.add_argument("--input", required=True)
-    sp.add_argument("-o", "--output", required=True)
-    sp.set_defaults(func=_cmd_parse)
-
-    sp = sub.add_parser("train-tagger")
-    sp.add_argument("--train", required=True)
+    sp.add_argument("--max-iters", type=int, default=argparse.SUPPRESS)
+    sp.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    command("parse", _cmd_parse, "--grammar", "--input", "-o --output")
+    sp = command("train-tagger", _cmd_train_tagger, "--train", "-o --output")
     sp.add_argument("--heldout")
     sp.add_argument("--variant", choices=hmm.VARIANTS, default="joint")
-    sp.add_argument("-o", "--output", required=True)
-    sp.set_defaults(func=_cmd_train_tagger)
-
-    sp = sub.add_parser("tag")
-    sp.add_argument("--model", required=True)
-    sp.add_argument("--input", required=True)
-    sp.add_argument("-o", "--output", required=True)
-    sp.set_defaults(func=_cmd_tag)
-
-    sp = sub.add_parser("train-sr")
-    sp.add_argument("--train", required=True)
+    command("tag", _cmd_tag, "--model", "--input", "-o --output")
+    sp = command("train-sr", _cmd_train_sr, "--train", "-o --output")
     sp.add_argument("--heldout")
     sp.add_argument("--flavor", choices=("joint", "cond"), default="joint")
     sp.add_argument("--head-rules")
-    sp.add_argument("-o", "--output", required=True)
-    sp.set_defaults(func=_cmd_train_sr)
-
-    sp = sub.add_parser("parse-sr")
-    sp.add_argument("--model", required=True)
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--beam", type=float, default=1e-6)
+    sp = command("parse-sr", _cmd_parse_sr, "--model", "--input",
+                 "-o --output")
+    sp.add_argument("--beam", dest="threshold", type=float,
+                    default=argparse.SUPPRESS)
     sp.add_argument("--no-observed-pair-filter", action="store_true")
-    sp.add_argument("-o", "--output", required=True)
-    sp.set_defaults(func=_cmd_parse_sr)
-
-    sp = sub.add_parser("eval")
-    sp.add_argument("--gold", required=True)
-    sp.add_argument("--pred", required=True)
-    sp.set_defaults(func=_cmd_eval)
-
-    sp = sub.add_parser("bootstrap")
-    sp.add_argument("--gold", required=True)
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--b", required=True)
-    sp.add_argument("--iterations", type=int, default=10000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=_cmd_bootstrap)
-
-    sp = sub.add_parser("experiment")
+    command("eval", _cmd_eval, "--gold", "--pred")
+    sp = command("bootstrap", _cmd_bootstrap, "--gold", "--a", "--b")
+    sp.add_argument("--iterations", type=int, default=argparse.SUPPRESS)
+    sp.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    sp = command("experiment", _cmd_experiment)
     sp.add_argument("config")
     sp.add_argument("--validate", action="store_true")
-    sp.add_argument("--output-dir")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.set_defaults(func=_cmd_experiment)
-
+    sp.add_argument("--output-dir", default=argparse.SUPPRESS)
+    sp.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as e:

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modelfile
-from .interp import (CondTable, InterpolatedCondDist, bucket_id,
-                     fit_interpolation)
+from .interp import CondTable, InterpolatedCondDist, fit_interpolation
 
 END = "<end>"
 UNK = "<unk>"
@@ -207,8 +206,7 @@ class TaggerModel:
         context's count, added in the order InterpolatedCondDist.prob adds."""
         (by_word, _), _, (full, _) = mix.components
         ctxs = [(word, s) for s in self._index]
-        lam = np.array([mix.lambdas.get(bucket_id(full.total(c)), mix.uniform)
-                        for c in ctxs])
+        lam = np.array([mix.weights(c) for c in ctxs])
         return (lam[:, 0:1] * by_word.matrix([(word,)], self._index)
                 + lam[:, 1:2] * self._trans
                 + lam[:, 2:3] * full.matrix(ctxs, self._index))

@@ -14,9 +14,9 @@ import numpy as np
 BUCKET_CAP = 16
 
 
-def bucket_id(count, cap=BUCKET_CAP):
-    """Frequency bucket: floor(log2(count + 1)), capped."""
-    return min(cap, int(math.floor(math.log2(count + 1))))
+def bucket_id(count):
+    """Frequency bucket: floor(log2(count + 1)), capped at BUCKET_CAP."""
+    return min(BUCKET_CAP, int(math.floor(math.log2(count + 1))))
 
 
 class CondTable:
@@ -123,9 +123,9 @@ class InterpolatedCondDist:
     """Bucket-tied mixture of empirical conditional distributions.
 
     Each component is a CondTable paired with an index tuple projecting the
-    full context onto that component's conditioning variables.  The bucket
-    of a full context is derived from the finest (last) component's context
-    count.
+    full context onto that component's conditioning variables.  The finest
+    (last) component's context is the full context itself, and a full
+    context's bucket is that of its count there.
     """
 
     def __init__(self, components, lambdas, trace=None):
@@ -140,8 +140,7 @@ class InterpolatedCondDist:
         return tuple(full_ctx[j] for j in idx)
 
     def bucket(self, full_ctx):
-        table, _ = self.components[-1]
-        return bucket_id(table.total(self.project(full_ctx, self._k - 1)))
+        return bucket_id(self.components[-1][0].total(full_ctx))
 
     def weights(self, full_ctx):
         return self.lambdas.get(self.bucket(full_ctx), self.uniform)

@@ -99,13 +99,10 @@ class AscentConfig:
     max_iters: int = 200
     tol: float = 1e-6
     initial_step: float = 1.0
-    line_search_shrink: float = 0.5
 
     def __post_init__(self):
         if self.max_iters <= 0 or self.tol <= 0 or self.initial_step <= 0:
             raise ValueError("AscentConfig fields must be positive")
-        if not 0 < self.line_search_shrink < 1:
-            raise ValueError("line_search_shrink must be in (0,1)")
 
 
 def tree_productions(t):
@@ -144,14 +141,13 @@ def extract_counts(corpus):
     return RuleCounts(dict(counts), dict(totals), start=trees[0].label)
 
 
-def estimate_mle(counts, start=None):
+def estimate_mle(counts):
     """Relative-frequency estimator: theta = count / lhs total."""
-    start = start if start is not None else counts.start
     for lhs, tot in counts.lhs_totals.items():
         if tot <= 0:
             raise EstimationError("nonterminal %r has zero total count" % (lhs,))
     theta = {r: c / counts.lhs_totals[r.lhs] for r, c in counts.counts.items()}
-    return Pcfg(start, theta)
+    return Pcfg(counts.start, theta)
 
 
 def tree_log_prob(g, t):
@@ -350,6 +346,7 @@ def inside_outside(g, x):
 
 THETA_FLOOR = 1e-12
 MAX_SHRINKS = 20   # line-search halvings before an ascent step gives up
+LINE_SEARCH_SHRINK = 0.5   # the step-size factor of one halving
 
 
 def corpus_stats(g, corpus):
@@ -375,13 +372,18 @@ def corpus_stats(g, corpus):
     return tlp_sum, marg_sum, expected
 
 
+def _direction(g, observed, expected):
+    """Observed minus expected count of each rule: theta times the CLL
+    gradient, the direction an MCLE step takes."""
+    return {r: observed.get(r, 0.0) - expected.get(r, 0.0) for r in g.rules}
+
+
 def cll_gradient(g, corpus):
     """Gradient of the conditional log-likelihood with respect to theta."""
     _, _, expected = corpus_stats(g, corpus)
     observed = extract_counts(corpus).counts
     grad = {}
-    for r in g.rules:
-        diff = observed.get(r, 0.0) - expected.get(r, 0.0)
+    for r, diff in _direction(g, observed, expected).items():
         theta = g.theta[r]
         if theta <= 0.0 and observed.get(r, 0.0) > 0.0:
             raise EstimationError("zero-probability rule %s has count" % (r,))
@@ -418,15 +420,14 @@ def estimate_mcle(corpus, init, cfg=None, trace=None):
     if trace is not None:
         trace.append(cll)
     for _ in range(cfg.max_iters):
-        direction = {r: observed.get(r, 0.0) - expected.get(r, 0.0)
-                     for r in g.rules}
+        direction = _direction(g, observed, expected)
         eta = cfg.initial_step
         for _ in range(MAX_SHRINKS):
             cand = _eg_step(g, direction, eta)
             tlp_c, marg_c, exp_c = corpus_stats(cand, corpus)
             if tlp_c - marg_c > cll:
                 break
-            eta *= cfg.line_search_shrink
+            eta *= LINE_SEARCH_SHRINK
         else:
             break
         improvement = tlp_c - marg_c - cll

@@ -17,7 +17,7 @@ Run ``python -m condest.toydata OUTDIR`` to write all corpus files.
 import random
 
 from .hmm import TaggedCorpus, write_tagged
-from .trees import Corpus, Tree, parse_trees, write_bracketed
+from .trees import Corpus, Tree, parse_trees, tree_yield, write_bracketed
 
 
 def _t(s):
@@ -101,19 +101,9 @@ def sr_treebank(seed=0, n=200, max_len=12):
     trees = []
     while len(trees) < n:
         t = _sample_tree(rng, "S", 0)
-        if len([1 for _ in _leaves(t)]) <= max_len:
+        if len(tree_yield(t)) <= max_len:
             trees.append(t)
     return Corpus(trees)
-
-
-def _leaves(t):
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf():
-            yield node
-        else:
-            stack.extend(node.children)
 
 
 def sr_corpora(seed=0, n_train=200, n_heldout=40, n_test=40):

@@ -9,7 +9,7 @@ package the terminals are the preterminal (POS) labels left behind by
 import re
 from dataclasses import dataclass, field
 
-DEFAULT_MARKER = "^"
+MARKER = "^"   # marks the nodes binarize introduces
 
 
 class TreebankError(ValueError):
@@ -209,54 +209,53 @@ class HeadRules:
         return 0 if direction == "left" else len(child_labels) - 1
 
 
-def binarize(t, rules=None, marker=DEFAULT_MARKER):
+def binarize(t, rules=None):
     """Head-driven binarization.
 
     Each local tree with n > 2 children gains n-2 nodes: the head child is
     first joined with the constituents to its right, then the result is
     joined with the constituents to its left.  An introduced node is
-    labelled with its head-containing child's label plus marker+"2" when
-    the head sits in the left child, marker+"1" when it sits in the right
+    labelled with its head-containing child's label plus "^2" (MARKER)
+    when the head sits in the left child, "^1" when it sits in the right
     child.  The topmost node keeps the original parent label.
     """
     if rules is None:
         rules = HeadRules()
-    if marker in t.label:
-        raise TreebankError(
-            "label %r contains the binarization marker %r; choose another marker"
-            % (t.label, marker))
+    if MARKER in t.label:
+        raise TreebankError("label %r contains the binarization marker %r"
+                            % (t.label, MARKER))
     if t.is_leaf():
         return t
-    kids = [binarize(c, rules, marker) for c in t.children]
+    kids = [binarize(c, rules) for c in t.children]
     n = len(kids)
     if n <= 2:
         return Tree(t.label, kids)
     h = rules.head_index(t.label, [c.label for c in t.children])
     cur = kids[h]
     for j in range(h + 1, n):
-        cur = Tree(cur.label + marker + "2", (cur, kids[j]))
+        cur = Tree(cur.label + MARKER + "2", (cur, kids[j]))
     for j in range(h - 1, -1, -1):
-        cur = Tree(cur.label + marker + "1", (kids[j], cur))
+        cur = Tree(cur.label + MARKER + "1", (kids[j], cur))
     return Tree(t.label, cur.children)
 
 
-def _is_binarization_label(label, marker):
-    return label.endswith(marker + "1") or label.endswith(marker + "2")
+def _is_binarization_label(label):
+    return label.endswith(MARKER + "1") or label.endswith(MARKER + "2")
 
 
-def debinarize(t, marker=DEFAULT_MARKER):
+def debinarize(t):
     """Splice out every node introduced by ``binarize`` (inverse transform)."""
     if t.is_leaf():
         return t
     kids = []
     for c in t.children:
-        _debinarize_into(c, kids, marker)
+        _debinarize_into(c, kids)
     return Tree(t.label, kids)
 
 
-def _debinarize_into(node, out, marker):
-    if not node.is_leaf() and _is_binarization_label(node.label, marker):
+def _debinarize_into(node, out):
+    if not node.is_leaf() and _is_binarization_label(node.label):
         for c in node.children:
-            _debinarize_into(c, out, marker)
+            _debinarize_into(c, out)
     else:
-        out.append(debinarize(node, marker))
+        out.append(debinarize(node))

@@ -1,6 +1,7 @@
 """Every function the benchmark's probes wrap (bench/probes.py) resolves in
-``condest``, and the wrappers install and come off again.  A rename then
-fails here instead of in a benchmark run."""
+``condest``, the wrappers install and come off again, and the experiment
+configs of the bundled workload (bench/jobs.py) validate.  A rename or a
+config change then fails here instead of in a benchmark run."""
 
 import importlib.util
 import os
@@ -8,12 +9,16 @@ import os
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
 
 
-def _probes():
+def _bench_module(name):
     spec = importlib.util.spec_from_file_location(
-        "bench_probes", os.path.join(BENCH, "probes.py"))
+        "bench_" + name, os.path.join(BENCH, name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _probes():
+    return _bench_module("probes")
 
 
 def test_probe_targets_resolve():
@@ -45,3 +50,13 @@ def test_probes_install_and_restore():
     assert (hmm.collect_tables, hmm.fit_interpolation,
             interp.fit_mixture_weights,
             vars(hmm.TaggerModel)["train"]) == before
+
+
+def test_bundled_configs_validate(tmp_path):
+    from condest import cli, toydata
+    data = tmp_path / "data"
+    toydata.write_all(str(data))
+    configs = _bench_module("jobs").bundled_configs(str(data), str(tmp_path))
+    assert sorted(configs) == sorted(cli.PIPELINES)
+    for path in configs.values():
+        assert cli.main(["experiment", path, "--validate"]) == 0, path

@@ -3,8 +3,9 @@ import os
 import pytest
 
 from condest import cli, pcfg, toydata
-from condest.cli import (ConfigError, load_config, parse_config_text,
-                         validate_config)
+from condest.cli import ConfigError, load_config, parse_config_text
+from condest.pcfg import AscentConfig
+from condest.shiftreduce import BeamConfig
 from condest.trees import write_bracketed
 
 
@@ -23,6 +24,31 @@ def _write(path, text):
 # ---------------------------------------------------------------------------
 # Config parsing and validation.
 
+CORPORA = {
+    "pcfg-mle-vs-mcle": ("pcfg_train.mrg", None, "pcfg_test.mrg"),
+    "hmm-four-way": ("hmm_train.tag", "hmm_heldout.tag", "hmm_test.tag"),
+    "sr-joint-vs-cond": ("sr_train.mrg", "sr_heldout.mrg", "sr_test.mrg"),
+}
+
+
+def _config(pipeline, data_dir, out, extra=""):
+    """A valid config for ``pipeline`` on the bundled corpora, then
+    ``extra``."""
+    train, heldout, test = CORPORA[pipeline]
+    text = ("[experiment]\npipeline = %s\noutput_dir = %s\n[corpus]\n"
+            "train = %s\ntest = %s\n"
+            % (pipeline, out, data_dir / train, data_dir / test))
+    if heldout:
+        text += "heldout = %s\n" % (data_dir / heldout)
+    return text + extra
+
+
+def _diagnostics(path):
+    with pytest.raises(ConfigError) as e:
+        load_config(path)
+    return str(e.value).split("\n")
+
+
 def test_parse_config_text():
     sections = parse_config_text(
         "# comment\n[experiment]\npipeline = pcfg-mle-vs-mcle\n\n"
@@ -38,11 +64,28 @@ def test_parse_config_errors():
         parse_config_text("k = v\n")
 
 
+def test_inline_comment_and_repeated_key_are_refused(data_dir, tmp_path,
+                                                     capsys):
+    with pytest.raises(ConfigError, match="line 3: a comment must take"):
+        parse_config_text("[a]\nk = v\nout = out   # results\n")
+    with pytest.raises(ConfigError, match="line 3: key a.k repeated"):
+        parse_config_text("[a]\nk = 5\nk = 50\n")
+    # a "#" inside a value is part of it
+    assert parse_config_text("[a]\nk = a#b\n") == {"a": {"k": "a#b"}}
+    ok = _config("hmm-four-way", data_dir, tmp_path / "out")
+    for text in (ok.replace("\n[corpus]", "   # results\n[corpus]"),
+                 ok + "train = %s\n" % (data_dir / "hmm_train.tag")):
+        cfg = _write(tmp_path / "c.cfg", text)
+        assert cli.main(["experiment", cfg, "--validate"]) == 2
+        assert "line " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_config_collects_all_errors(tmp_path):
     cfg = _write(tmp_path / "bad.cfg",
                  "[experiment]\npipeline = nonsense\n[corpus]\n"
                  "test = /nonexistent/t.mrg\n")
-    diags = validate_config(cfg)
+    diags = _diagnostics(cfg)
     text = "\n".join(diags)
     assert len(diags) >= 4
     assert "pipeline" in text
@@ -52,66 +95,138 @@ def test_validate_config_collects_all_errors(tmp_path):
 
 
 def test_load_config_valid(data_dir, tmp_path):
-    cfg_path = _write(tmp_path / "ok.cfg", """
-[experiment]
-pipeline = pcfg-mle-vs-mcle
-output_dir = %s
-seed = 3
-[corpus]
-train = %s
-test = %s
-[pcfg]
-max_iters = 5
-[bootstrap]
-iterations = 50
-""" % (tmp_path / "out", data_dir / "pcfg_train.mrg", data_dir / "pcfg_test.mrg"))
-    assert validate_config(cfg_path) == []
+    cfg_path = _write(tmp_path / "ok.cfg", _config(
+        "pcfg-mle-vs-mcle", data_dir, tmp_path / "out",
+        "[pcfg]\nmax_iters = 5\n[bootstrap]\niterations = 50\n"
+    ).replace("[corpus]", "seed = 3\n[corpus]"))
+    assert cli.main(["experiment", cfg_path, "--validate"]) == 0
     cfg = load_config(cfg_path)
     assert cfg.seed == 3
-    assert cfg.ascent.max_iters == 5
-    assert cfg.bootstrap_iterations == 50
-    assert cfg.beam_thresholds == (1e-6, 1e-9)
+    assert cfg.max_iters == 5
+    assert cfg.tol == AscentConfig.tol
+    assert cfg.iterations == 50
+    cfg = load_config(_write(tmp_path / "sr.cfg", _config(
+        "sr-joint-vs-cond", data_dir, tmp_path / "out")))
+    assert cfg.thresholds == (1e-6, 1e-9)
+    assert cfg.observed_pair_filter is BeamConfig.require_observed_pairs
+    assert cfg.head_rules is None
 
 
 def test_unknown_section_or_key_is_refused(data_dir, tmp_path, capsys):
-    cfg = _write(tmp_path / "typo.cfg", """
-[experiment]
-pipeline = pcfg-mle-vs-mcle
-output_dir = %s
-[corpus]
-train = %s
-test = %s
-[pcfg]
-max_iter = 5
-[beams]
-""" % (tmp_path / "out", data_dir / "pcfg_train.mrg", data_dir / "pcfg_test.mrg"))
-    assert validate_config(cfg) == ["unknown key pcfg.max_iter",
-                                    "unknown section [beams]"]
+    cfg = _write(tmp_path / "typo.cfg", _config(
+        "pcfg-mle-vs-mcle", data_dir, tmp_path / "out",
+        "[pcfg]\nmax_iter = 5\n[beams]\n"))
+    assert _diagnostics(cfg) == [
+        "unknown key pcfg.max_iter for pipeline pcfg-mle-vs-mcle",
+        "unknown section [beams] for pipeline pcfg-mle-vs-mcle"]
     assert cli.main(["experiment", cfg, "--validate"]) == 2
     assert "unknown key pcfg.max_iter" in capsys.readouterr().err
 
 
-def test_readme_config_loads(tmp_path):
+# For each pipeline, settings that only another pipeline reads.
+FOREIGN = {
+    "pcfg-mle-vs-mcle": ("[corpus]\nheldout = x\n",
+                         "[treebank]\nhead_rules = x\n",
+                         "[beam]\nthresholds = 0.5\n"),
+    "hmm-four-way": ("[pcfg]\nmax_iters = 5\n", "[beam]\nthresholds = 0.5\n",
+                     "[bootstrap]\niterations = 1\n",
+                     "[treebank]\nhead_rules = x\n"),
+    "sr-joint-vs-cond": ("[pcfg]\ntol = 0.1\n",
+                         "[bootstrap]\niterations = 1\n"),
+}
+
+
+@pytest.mark.parametrize("pipeline", sorted(FOREIGN))
+def test_key_of_another_pipeline_is_refused(data_dir, tmp_path, capsys,
+                                            pipeline):
+    assert cli.main(["experiment", _write(tmp_path / "ok.cfg", _config(
+        pipeline, data_dir, tmp_path / "out")), "--validate"]) == 0
+    for extra in FOREIGN[pipeline]:
+        cfg = _write(tmp_path / "c.cfg", _config(
+            pipeline, data_dir, tmp_path / "out", extra))
+        assert cli.main(["experiment", cfg, "--validate"]) == 2
+        assert "for pipeline %s" % pipeline in capsys.readouterr().err
+
+
+def test_missing_head_rules_exits_2(data_dir, tmp_path, capsys):
+    missing = tmp_path / "rules.txt"
+    cfg = _write(tmp_path / "sr.cfg", _config(
+        "sr-joint-vs-cond", data_dir, tmp_path / "out",
+        "[treebank]\nhead_rules = %s\n" % missing))
+    assert cli.main(["experiment", cfg, "--validate"]) == 2
+    assert capsys.readouterr().err == (
+        "treebank.head_rules: path does not exist: %s\n" % missing)
+    assert cli.main(["experiment", cfg]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_values_are_config_errors(data_dir, tmp_path):
+    cfg = _write(tmp_path / "bad.cfg", _config(
+        "sr-joint-vs-cond", data_dir, tmp_path / "out",
+        "[beam]\nthresholds = 1e-6 2\nobserved_pair_filter = maybe\n"
+    ).replace("[corpus]", "seed = x\n[corpus]"))
+    diags = _diagnostics(cfg)
+    assert [d.split(":")[0] for d in diags] == [
+        "experiment.seed", "beam.thresholds", "beam.observed_pair_filter"]
+    cfg = _write(tmp_path / "bad.cfg", _config(
+        "pcfg-mle-vs-mcle", data_dir, tmp_path / "out",
+        "[pcfg]\nmax_iters = 0\n"))
+    assert _diagnostics(cfg) == [
+        "pcfg.max_iters: AscentConfig fields must be positive"]
+
+
+def _readme():
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as f:
-        text = f.read()
-    block = text.split("```ini\n", 1)[1].split("```", 1)[0]
-    cfg = load_config(_write(tmp_path / "readme.cfg", block), check_paths=False)
+        return f.read()
+
+
+def test_readme_config_loads(tmp_path, monkeypatch):
+    # the example names the bundled corpora under data/
+    monkeypatch.chdir(tmp_path)
+    toydata.write_all("data")
+    block = _readme().split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg_path = _write(tmp_path / "readme.cfg", block)
+    assert cli.main(["experiment", cfg_path, "--validate"]) == 0
+    cfg = load_config(cfg_path)
     assert cfg.pipeline == "pcfg-mle-vs-mcle"
-    assert cfg.heldout is None
-    assert cfg.beam_thresholds == (1e-6, 1e-9)
+    assert not hasattr(cfg, "heldout")
+    assert not hasattr(cfg, "thresholds")
+
+
+def test_readme_key_table_matches_declaration():
+    """The README's table of config keys names, for each key, the pipelines
+    that read it and its default: the same as the declaration."""
+    text = _readme().split("| key | pipelines | default |\n", 1)[1]
+    table = {}
+    for row in text.split("\n")[1:]:
+        if not row.startswith("|"):
+            break
+        key, names, default = (x.strip(" `") for x in row.split("|")[1:4])
+        for name in cli.PIPELINES if names == "all" else names.split(", "):
+            table[name, key] = default
+    declared = {}
+    for name, (_run, keys) in cli.PIPELINES.items():
+        for section, entries in {"experiment": cli.EXPERIMENT_KEYS,
+                                 **keys}.items():
+            for key, (convert, default) in entries.items():
+                declared[name, "%s.%s" % (section, key)] = (convert, default)
+    assert len(declared) == 23
+    assert set(table) == set(declared)
+    for where, written in table.items():
+        convert, default = declared[where]
+        if written == "required":
+            assert default is cli.REQUIRED, where
+        elif written == "none":
+            assert default is None, where
+        else:
+            assert convert(written) == default, where
 
 
 def test_heldout_required_for_hmm(data_dir, tmp_path):
-    cfg_path = _write(tmp_path / "h.cfg", """
-[experiment]
-pipeline = hmm-four-way
-output_dir = %s
-[corpus]
-train = %s
-test = %s
-""" % (tmp_path / "out", data_dir / "hmm_train.tag", data_dir / "hmm_test.tag"))
-    diags = validate_config(cfg_path)
+    text = _config("hmm-four-way", data_dir, tmp_path / "out")
+    cfg_path = _write(tmp_path / "h.cfg", text[:text.index("heldout")])
+    diags = _diagnostics(cfg_path)
     assert any("heldout" in d for d in diags)
 
 

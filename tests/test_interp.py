@@ -14,7 +14,6 @@ def test_bucket_id():
     assert bucket_id(3) == 2
     assert bucket_id(7) == 3
     assert bucket_id(2 ** 20) == 16  # capped
-    assert bucket_id(7, cap=2) == 2
 
 
 def test_cond_table():

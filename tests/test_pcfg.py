@@ -266,7 +266,7 @@ def test_ascent_config_validation():
     with pytest.raises(ValueError):
         AscentConfig(max_iters=0)
     with pytest.raises(ValueError):
-        AscentConfig(line_search_shrink=1.0)
+        AscentConfig(initial_step=0.0)
 
 
 def test_viterbi_unambiguous(tiny_corpus):

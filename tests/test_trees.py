@@ -79,6 +79,7 @@ def test_binarize_four_children():
     tree = t("(P C1 C2 C3 C4)")
     out = binarize(tree, rules)
     assert write_tree(out) == "(P C1 (C2^2^2 (C2^2 C2 C3) C4))"
+    assert debinarize(out) == tree
 
 
 def test_binarize_passthrough():
@@ -97,13 +98,6 @@ def test_binarize_head_last():
 def test_binarize_rejects_marker_in_label():
     with pytest.raises(TreebankError, match="marker"):
         binarize(t("(S (A^1 a) (B b))"))
-
-
-def test_binarize_custom_marker():
-    rules = HeadRules({"P": ("left", ["C2"])})
-    out = binarize(t("(P C1 C2 C3 C4)"), rules, marker="+")
-    assert write_tree(out) == "(P C1 (C2+2+2 (C2+2 C2 C3) C4))"
-    assert debinarize(out, marker="+") == t("(P C1 C2 C3 C4)")
 
 
 def test_debinarize_untouched():
