@@ -91,8 +91,19 @@ def _field(cls, name, parse):
 
 
 def _thresholds(text):
-    return tuple(BeamConfig(threshold=float(x)).threshold
-                 for x in text.split())
+    values = tuple(BeamConfig(threshold=float(x)).threshold
+                   for x in text.split())
+    if not values:
+        raise ValueError("needs at least one threshold")
+    return values
+
+
+def _head_rules_file(text):
+    """A head-rules file, read and checked as the pipeline reads it."""
+    try:
+        return trees.HeadRules.from_file(_path(text))
+    except OSError as e:
+        raise ValueError(str(e)) from None
 
 
 def _corpus(*extra):
@@ -197,10 +208,6 @@ def _tag(sentences, model, source, path, what=""):
     return pred
 
 
-def _head_rules(path):
-    return trees.HeadRules.from_file(path) if path else trees.HeadRules()
-
-
 def _given(args, *names):
     """The named options that were given on the command line."""
     return {name: getattr(args, name) for name in names if name in args}
@@ -262,7 +269,7 @@ def _pipeline_hmm(cfg, out):
 
 
 def _pipeline_sr(cfg, out):
-    rules = _head_rules(cfg.head_rules)
+    rules = cfg.head_rules or trees.HeadRules()
     btrain = _read_binarized(cfg.train, rules)
     bheldout = _read_binarized(cfg.heldout, rules)
     gold = list(_read_trees(cfg.test))
@@ -305,14 +312,15 @@ PIPELINES = {
         **_corpus(),
         "pcfg": {"max_iters": _field(AscentConfig, "max_iters", int),
                  "tol": _field(AscentConfig, "tol", float)},
-        "bootstrap": {"iterations": (int, 2000)}}),
+        "bootstrap": {"iterations": (
+            lambda text: evaluation.bootstrap_iterations(int(text)), 2000)}}),
     "hmm-four-way": (_pipeline_hmm, _corpus("heldout")),
     "sr-joint-vs-cond": (_pipeline_sr, {
         **_corpus("heldout"),
         "beam": {"thresholds": (_thresholds, (1e-6, 1e-9)),
                  "observed_pair_filter": _field(
                      BeamConfig, "require_observed_pairs", _parse_bool)},
-        "treebank": {"head_rules": (_path, None)}}),
+        "treebank": {"head_rules": (_head_rules_file, None)}}),
 }
 
 
@@ -366,7 +374,8 @@ def _cmd_tag(args):
 
 
 def _cmd_train_sr(args):
-    rules = _head_rules(args.head_rules)
+    rules = (trees.HeadRules.from_file(args.head_rules) if args.head_rules
+             else trees.HeadRules())
     train = _read_binarized(args.train, rules)
     if args.flavor == "joint":
         model = shiftreduce.estimate_joint(train)

@@ -95,6 +95,13 @@ class BootstrapResult:
     observed_delta_f: float
 
 
+def bootstrap_iterations(iterations):
+    """``iterations`` if it is a usable bootstrap iteration count."""
+    if iterations < 1:
+        raise EvalError("iterations must be >= 1")
+    return iterations
+
+
 def bootstrap_test(gold, pred_a, pred_b, iterations=10000, seed=0):
     """Bootstrap test of the F-score difference F(A) - F(B).
 
@@ -107,8 +114,7 @@ def bootstrap_test(gold, pred_a, pred_b, iterations=10000, seed=0):
     pred_b = list(pred_b)
     if not (len(gold) == len(pred_a) == len(pred_b)):
         raise EvalError("corpora differ in length")
-    if iterations < 1:
-        raise EvalError("iterations must be >= 1")
+    bootstrap_iterations(iterations)
     n = len(gold)
     stats_a = np.array([sentence_stats(g, p) for g, p in zip(gold, pred_a)],
                        dtype=float)

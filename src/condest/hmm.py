@@ -9,8 +9,9 @@ decodes any of them; only the per-edge factor differs.
 
 import functools
 import math
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -103,6 +104,13 @@ class EmpiricalTables:
         marker.  Read only once the tables are filled."""
         return tuple(sorted({t for _ctx, t, _c in self.trans.items()} - {END}))
 
+    @functools.cached_property
+    def words(self):
+        """Word ids: END (0), UNK, each word map_word keeps, and None last,
+        which stands for any other word."""
+        return {w: i for i, w in enumerate(dict.fromkeys(
+            [END, UNK, *map(self.map_word, self.word_counts), None]))}
+
     def components(self, target):
         """The ``target`` mixture's components over these tables, each
         table with its context's places in the full context."""
@@ -131,18 +139,47 @@ def table_pairs(positions, name):
     return zip(zip(*(positions[f] for f in ctx)), positions[out])
 
 
+def _contexts(names, base, codes):
+    """The context tuples of row codes: a code's digits in ``base`` are ids
+    into ``names``, one array of symbols per field."""
+    fields = []
+    for field in reversed(names):
+        codes, digit = np.divmod(codes, base)
+        fields.insert(0, field[digit].tolist())
+    return list(zip(*fields))
+
+
 def collect_tables(train):
-    """Exact counts over a corpus, including both end-marker transitions."""
+    """Exact counts over a corpus, including both end-marker transitions.
+
+    The walked columns are coded once, words (UNK mapping folded in) by
+    ``words`` and tags in order of first appearance, and each TABLES entry
+    counts the integer codes of its context fields and outcome."""
     if not len(train):
         raise TaggingError("empty training corpus")
-    word_counts = defaultdict(float)
-    for words, _tags in train:
-        for w in words:
-            word_counts[w] += 1
-    tables = EmpiricalTables(word_counts)
-    positions = tables.walk(train)
-    for name in TABLES:
-        setattr(tables, name, CondTable(table_pairs(positions, name)))
+    words = list(chain.from_iterable(w for w, _t in train))
+    tags = list(chain.from_iterable(t for _w, t in train))
+    tables = EmpiricalTables({w: float(c) for w, c in Counter(words).items()})
+    word_id = {w: tables.words[tables.map_word(w)] for w in tables.word_counts}
+    tag_id = {t: i for i, t in enumerate(dict.fromkeys([END, *tags]))}
+    # token slots in the walk, the END of each sentence before it (END is
+    # id 0 of both columns)
+    slots = np.arange(len(words)) + np.repeat(
+        np.arange(1, len(train) + 1), [len(w) for w, _t in train])
+    ws, ts = np.zeros((2, len(words) + len(train) + 1), dtype=np.int64)
+    ws[slots] = np.fromiter(map(word_id.get, words), np.int64, len(words))
+    ts[slots] = np.fromiter(map(tag_id.get, tags), np.int64, len(tags))
+    positions = ws[:-1], ts[:-1], ws[1:], ts[1:]
+    names = [np.array(list(ids), dtype=object)
+             for ids in (tables.words, tag_id)] * 2
+    base = max(map(len, names))
+    for name, (ctx, out) in TABLES.items():
+        code = sum(positions[f] * base ** i
+                   for i, f in enumerate(reversed(ctx)))
+        setattr(tables, name, CondTable.from_codes(
+            code, positions[out],
+            functools.partial(_contexts, [names[f] for f in ctx], base),
+            names[out]))
     return tables
 
 
@@ -175,6 +212,7 @@ class TaggerModel:
             if getattr(self, target) is None:
                 raise ValueError("variant %r needs the %s mixture"
                                  % (variant, target))
+        self._compile()
 
     @classmethod
     def train(cls, variant, train, heldout=None):
@@ -185,60 +223,85 @@ class TaggerModel:
         return cls(variant, tables, **{
             t: fit_deleted_interpolation(tables, heldout, t) for t in needs})
 
-    @functools.cached_property
-    def _index(self):
-        """Lattice row and column of each symbol: the tagset, then END."""
-        return {s: i for i, s in enumerate(self.tables.tagset + (END,))}
+    def _compile(self):
+        """The arrays the lattice reads: rows and columns are the tagset,
+        then END (``_index``), and word ids are those of ``tables.words``."""
+        tb, words = self.tables, self.tables.words
+        syms = tb.tagset + (END,)
+        self._index = index = {s: i for i, s in enumerate(syms)}
+        self._trans = tb.trans.matrix([(s,) for s in syms], index)
+        # P(w | s) over (s, word)
+        self._emit = {name: getattr(tb, name).matrix([(s,) for s in syms],
+                                                     words)
+                      for name in ("emit", "emit_prev")}
+        mix = next((getattr(self, t) for t in VARIANT_MIXTURES[self.variant]),
+                   None)
+        if mix is not None:
+            # P(t | word) over (word, t); P(t | word, tprev) over (the
+            # finest table's row, t); each row's weights; and the row of
+            # each (word, tprev), the empty row if unseen
+            (by_word, _), _, (full, _) = mix.components
+            ctxs = list(full.contexts())
+            at = np.array([(words.get(w, -1), index.get(s, -1))
+                           for w, s in ctxs], dtype=np.intp).reshape(-1, 2)
+            seen = (at >= 0).all(axis=1)
+            row_of = np.full((len(words), len(syms)), len(ctxs))
+            row_of[at[seen, 0], at[seen, 1]] = np.flatnonzero(seen)
+            self._mix = (by_word.matrix([(w,) for w in words], index), row_of,
+                         full.matrix(None, index),
+                         mix.count_weights(full.row_totals()))
 
-    @functools.cached_property
-    def _trans(self):
-        """P(t | tprev) over (tprev, t)."""
-        return self.tables.trans.matrix([(s,) for s in self._index],
-                                        self._index)
-
-    def _given_tag(self, table, w):
-        """table.prob((s,), w) for each symbol s, as a column."""
-        return np.array([[table.prob((s,), w)] for s in self._index])
-
-    def _mixture(self, mix, word):
-        """mix.prob((word, tprev), t) over (tprev, t): P(t|word), P(t|tprev)
-        and P(t|word,tprev) (MIXTURES), weighted by the bucket of the full
-        context's count, added in the order InterpolatedCondDist.prob adds."""
-        (by_word, _), _, (full, _) = mix.components
-        ctxs = [(word, s) for s in self._index]
-        lam = np.array([mix.weights(c) for c in ctxs])
-        return (lam[:, 0:1] * by_word.matrix([(word,)], self._index)
-                + lam[:, 1:2] * self._trans
-                + lam[:, 2:3] * full.matrix(ctxs, self._index))
+    def _mixture(self, word):
+        """mix.prob((word[p], tprev), t) over (p, tprev, t) for word ids:
+        P(t|word), P(t|tprev) and P(t|word,tprev) (MIXTURES), weighted by
+        the bucket of the full context's count, added in the order
+        InterpolatedCondDist.prob adds."""
+        by_word, row_of, full, weights = self._mix
+        rows = row_of[word]
+        lam = weights[rows]
+        return (lam[..., 0:1] * by_word[word][:, None, :]
+                + lam[..., 1:2] * self._trans
+                + lam[..., 2:3] * full[rows])
 
     def edge_weight(self, wprev, w):
         """Factor of the position reading w after wprev (both already
         UNK-mapped) for every transition tprev -> t, as one array over
-        (tprev, t): rows and columns are the tagset, then END."""
-        tb = self.tables
+        (tprev, t): rows and columns are the tagset, then END.  Given two
+        equal-length sequences of words (a sentence's positions), the
+        arrays of all positions at once, over (position, tprev, t)."""
+        one, other = isinstance(w, str), self.tables.words[None]
+        wp, w = (np.array([self.tables.words.get(x, other)
+                           for x in ([ws] if one else ws)], dtype=np.intp)
+                 for ws in (wprev, w))
+        emit = self._emit["emit_prev" if self.variant == "joint-nextemit"
+                          else "emit"][:, w].T   # P(w | s) over (p, s)
         if self.variant == "joint":
-            return self._trans * self._given_tag(tb.emit, w).T
-        if self.variant == "conditional":
-            return self._mixture(self.pr0, w)
-        if self.variant == "joint-prevword":
-            return self._given_tag(tb.emit, w).T * self._mixture(self.pr1, wprev)
-        return self._mixture(self.pr0, w) * self._given_tag(tb.emit_prev, w)
+            out = self._trans * emit[:, None, :]
+        elif self.variant == "conditional":
+            out = self._mixture(w)
+        elif self.variant == "joint-prevword":
+            out = emit[:, None, :] * self._mixture(wp)
+        else:
+            out = self._mixture(w) * emit[:, :, None]
+        return out[0] if one else out
 
     def sequence_log_prob(self, words, tags):
         if len(words) != len(tags):
             raise TaggingError("words/tags length mismatch")
         if any(t not in self._index for t in tags):
             return float("-inf")
+        wp, tp, w, t = self.tables.walk([(words, tags)])
         lp = 0.0
-        for wp, tp, w, t in zip(*self.tables.walk([(words, tags)])):
-            p = self.edge_weight(wp, w)[self._index[tp], self._index[t]]
+        for weights, a, b in zip(self.edge_weight(wp, w), tp, t):
+            p = weights[self._index[a], self._index[b]]
             if p <= 0.0:
                 return float("-inf")
             lp += math.log(p)
         return lp
 
     def _lattice(self, words):
-        """Per-position weight arrays over the tag lattice.
+        """Per-position weight arrays over the tag lattice, from one
+        ``edge_weight`` call over the sentence.
 
         Returns (first, mats, final): first[t] covers j=1, mats[j-2] is the
         (tprev, t) matrix for j=2..m, final[t] is the j=m+1 end transition.
@@ -246,21 +309,28 @@ class TaggerModel:
         blocks are copied to contiguous arrays: BLAS sums a strided slice's
         products in another order, which moves log Z in the last bits.
         """
-        n = len(self.tables.tagset)
+        if not words:
+            raise TaggingError("empty sentence")
+        n, m = len(self.tables.tagset), len(words)
         ws = [END] + [self.tables.map_word(w) for w in words] + [END]
-        m = len(words)
-        blocks = []
-        for j in range(1, m + 2):
+        weights = self.edge_weight(ws[:-1], ws[1:])
+        first, mats, final = (np.ascontiguousarray(b) for b in (
+            weights[0, n, :n], weights[1:m, :n, :n], weights[m, :n, n]))
+        peaks = [first.max(), *mats.max(axis=(1, 2)), final.max()]
+        for j in np.flatnonzero(np.array(peaks) <= 0.0) + 1:
             at = (n if j == 1 else slice(n), n if j == m + 1 else slice(n))
-            block = self.edge_weight(ws[j - 1], ws[j])[at]
+            block = np.ascontiguousarray(self._trans[at])
             if block.max() <= 0.0:
-                block = self._trans[at]
-                if block.max() <= 0.0:
-                    raise TaggingError(
-                        "no tag can reach the end marker" if j > m else
-                        "no tag has nonzero probability at position %d" % j)
-            blocks.append(np.ascontiguousarray(block))
-        return blocks[0], blocks[1:-1], blocks[-1]
+                raise TaggingError(
+                    "no tag can reach the end marker" if j > m else
+                    "no tag has nonzero probability at position %d" % j)
+            if j == 1:
+                first = block
+            elif j > m:
+                final = block
+            else:
+                mats[j - 2] = block
+        return first, mats, final
 
     def log_partition(self, words):
         """Log of the sum over all tag sequences of the chain product."""
@@ -280,8 +350,6 @@ class TaggerModel:
 
     def posterior_marginals(self, words):
         """Per-position posterior over tags, shape (m, |tagset|)."""
-        if not words:
-            raise TaggingError("empty sentence")
         first, mats, final = self._lattice(words)
         m = len(words)
         alphas = [first]
@@ -360,10 +428,9 @@ def save_tagger(model, path):
 
 def load_tagger(path):
     f = modelfile.read(path, TAGGER_SCHEMA, TaggingError)
-    tables = EmpiricalTables(defaultdict(float, f["word_counts"]))
+    tables = EmpiricalTables(dict(f["word_counts"]))
     for name in TABLES:
-        setattr(tables, name,
-                modelfile.fill_table(CondTable(), f["table:" + name]))
+        setattr(tables, name, modelfile.fill_table(f["table:" + name]))
     if not tables.tagset:
         raise TaggingError("%s: [table:trans] has no tags" % path)
     variant = f["meta"]["variant"]

@@ -6,8 +6,10 @@ weights are tied across contexts bucketed by frequency and fitted on
 heldout data by EM on the weight simplex.
 """
 
+import functools
 import math
 from collections import defaultdict
+from types import MappingProxyType
 
 import numpy as np
 
@@ -19,56 +21,184 @@ def bucket_id(count):
     return min(BUCKET_CAP, int(math.floor(math.log2(count + 1))))
 
 
-class CondTable:
-    """Empirical conditional distribution P(outcome | context): counts of
-    (context, outcome) pairs, kept in first-seen order.  ``add`` adds a
-    weighted count, as a model file's rows do."""
+def bucket_ids(counts):
+    """``bucket_id`` of each count in an array."""
+    distinct, inverse = np.unique(counts, return_inverse=True)
+    return np.array([bucket_id(c) for c in distinct.tolist()],
+                    dtype=np.intp)[inverse]
 
-    def __init__(self, pairs=()):
-        self.counts = counts = defaultdict(dict)   # ctx -> {outcome: count}
-        self.totals = totals = defaultdict(float)  # ctx -> total count
+
+def _first_seen(codes):
+    """Each code's id when distinct codes are numbered in order of first
+    appearance, and the distinct codes in that order."""
+    order = np.argsort(codes)
+    new = np.ones(len(codes), dtype=bool)
+    np.not_equal(codes[order[1:]], codes[order[:-1]], out=new[1:])
+    ids = np.empty(len(codes), dtype=np.intp)
+    ids[order] = np.cumsum(new) - 1
+    first = np.minimum.reduceat(order, np.flatnonzero(new)) if len(codes) \
+        else order
+    by_first = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[by_first] = np.arange(len(first))
+    return rank[ids], codes[first[by_first]]
+
+
+def _count_pairs(rows, cols, weights=None):
+    """Count integer-coded (row, column) pairs: (row codes, ptr, cols,
+    counts, totals), rows and each row's columns in order of first
+    appearance, row r's entries at ``ptr[r]:ptr[r+1]``.  Each pair adds
+    its weight (default 1) to its count and its row's total, one at a
+    time in input order."""
+    cols = np.asarray(cols, dtype=np.int64)
+    width = int(cols.max(initial=0)) + 1
+    pair, codes = _first_seen(np.asarray(rows, dtype=np.int64) * width + cols)
+    row, row_codes = _first_seen(codes // width)
+    entry = np.argsort(row * len(row) + np.arange(len(row)))
+    weights = np.ones(len(cols)) if weights is None else weights
+    return (row_codes, np.append(0, np.cumsum(np.bincount(row))),
+            codes[entry] % width, np.bincount(pair, weights)[entry],
+            np.bincount(row[pair], weights))
+
+
+class CondTable:
+    """Empirical conditional distribution P(outcome | context), counts of
+    (context, outcome) pairs in an integer-coded, CSR-like form.  Row r is
+    the r-th context in order of first appearance; its entries
+    ``ptr[r]:ptr[r+1]`` are outcome ids with their counts, in order of
+    first appearance.  One more row, empty, stands for unseen contexts.
+    ``add`` adds a weighted count; the next query recompiles the arrays."""
+
+    def __init__(self, pairs=(), weights=None):
+        """Count ``pairs``, pair i adding ``weights[i]`` if given."""
+        ctx_ids, out_ids, rows, cols = {}, {}, [], []
         for ctx, out in pairs:
-            d = counts[ctx]
-            d[out] = d.get(out, 0.0) + 1.0
-            totals[ctx] += 1.0
+            rows.append(ctx_ids.setdefault(ctx, len(ctx_ids)))
+            cols.append(out_ids.setdefault(out, len(out_ids)))
+        self._load(list(ctx_ids), list(out_ids),
+                   *_count_pairs(rows, cols, weights)[1:])
+
+    @classmethod
+    def from_codes(cls, rows, cols, contexts, outcomes):
+        """Count coded pairs: ``contexts(codes)`` lists the contexts of
+        row codes, ``outcomes[c]`` is the outcome of column code c.  The
+        contexts are listed when first needed."""
+        codes, *counted = _count_pairs(rows, cols)
+        table = cls.__new__(cls)
+        table._load(functools.partial(contexts, codes), outcomes, *counted)
+        return table
+
+    def _load(self, ctxs, outcomes, ptr, cols, counts, totals):
+        used, cols = np.unique(cols, return_inverse=True)
+        self._ctxs, self._outs = ctxs, [outcomes[c] for c in used.tolist()]
+        self._ptr, self._cols = np.append(ptr, ptr[-1]), cols
+        self._counts, self._totals = counts, np.append(totals, 0.0)
+        tot = np.repeat(self._totals, np.diff(self._ptr))
+        self._probs = np.divide(counts, tot, out=np.zeros(len(counts)),
+                                where=tot > 0.0)
+        self._row, self._pending = None, []
 
     def add(self, ctx, out, k=1.0):
-        d = self.counts[ctx]
-        d[out] = d.get(out, 0.0) + k
-        self.totals[ctx] += k
+        self._pending.append((ctx, out, k))
+
+    def _compiled(self):
+        if self._pending:   # counts and totals go on adding in call order
+            pending, self._pending = self._pending, []
+            totals = dict(self.totals)
+            for ctx, _out, k in pending:
+                totals[ctx] = totals.get(ctx, 0.0) + k
+            rows = [*self.items(), *pending]
+            new = CondTable([(c, o) for c, o, _k in rows],
+                            [k for _c, _o, k in rows])
+            self._load(new._ctxs, new._outs, new._ptr[:-1], new._cols,
+                       new._counts, [totals[c] for c in new._ctxs])
+        return self
+
+    def _contexts(self):
+        if callable(self._compiled()._ctxs):
+            self._ctxs = self._ctxs()
+        return self._ctxs
+
+    def _rows(self):
+        if self._compiled()._row is None:
+            self._row = {c: r for r, c in enumerate(self._contexts())}
+        return self._row
+
+    def rows(self, ctxs):
+        """The row of each context, the empty row for an unseen one."""
+        row, empty = self._rows(), len(self._totals) - 1
+        return np.array([row.get(c, empty) for c in ctxs], dtype=np.intp)
+
+    def row_totals(self):
+        return self._compiled()._totals
+
+    def _entries(self, rows):
+        """Each entry of ``rows`` in turn: its row's place there, its index."""
+        start, size = self._ptr[rows], np.diff(self._ptr)[rows]
+        which = np.repeat(np.arange(len(rows)), size)
+        return which, np.arange(len(which)) + np.repeat(
+            start - np.cumsum(size) + size, size)
 
     def prob(self, ctx, out):
-        tot = self.totals.get(ctx, 0.0)
-        if tot <= 0.0:
-            return 0.0
-        return self.counts[ctx].get(out, 0.0) / tot
+        return self.dist(ctx).get(out, 0.0)
+
+    def probs(self, ctxs, outs):
+        """``prob`` of each (context, outcome) pair, as one array."""
+        which, entry = self._entries(self.rows(ctxs))
+        ids = {o: i for i, o in enumerate(self._outs)}
+        hit = self._cols[entry] == np.array([ids.get(o, -1) for o in outs],
+                                            dtype=np.intp)[which]
+        out = np.zeros(len(outs))
+        out[which[hit]] = self._probs[entry[hit]]
+        return out
 
     def total(self, ctx):
-        return self.totals.get(ctx, 0.0)
+        return float(self.row_totals()[self.rows([ctx])[0]])
 
     def dist(self, ctx):
-        tot = self.totals.get(ctx, 0.0)
-        if tot <= 0.0:
+        r = self._rows().get(ctx)
+        if r is None or self._totals[r] <= 0.0:
             return {}
-        return {o: c / tot for o, c in self.counts[ctx].items()}
+        a, b = self._ptr[r], self._ptr[r + 1]
+        return {self._outs[c]: p for c, p in zip(self._cols[a:b].tolist(),
+                                                 self._probs[a:b].tolist())}
 
     def matrix(self, ctxs, index):
         """``prob`` over ``ctxs`` × outcomes as one array; ``index`` maps an
-        outcome to its column, and other outcomes are left out."""
-        out = np.zeros((len(ctxs), len(index)))
-        for i, ctx in enumerate(ctxs):
-            for o, p in self.dist(ctx).items():
-                if o in index:
-                    out[i, index[o]] = p
+        outcome to its column, and other outcomes are left out.  ``ctxs``
+        None stands for every row, the empty row last."""
+        rows = (np.arange(len(self._compiled()._totals)) if ctxs is None
+                else self.rows(ctxs))
+        which, entry = self._entries(rows)
+        col = np.array([index.get(o, -1) for o in self._outs],
+                       dtype=np.intp)[self._cols[entry]]
+        out = np.zeros((len(rows), len(index)))
+        out[which[col >= 0], col[col >= 0]] = self._probs[entry[col >= 0]]
         return out
 
     def contexts(self):
-        return self.counts.keys()
+        return self._rows().keys()
 
     def items(self):
-        for ctx, d in self.counts.items():
-            for out, c in d.items():
-                yield ctx, out, c
+        ptr, cols = self._compiled()._ptr.tolist(), self._cols.tolist()
+        counts = self._counts.tolist()
+        for r, ctx in enumerate(self._contexts()):
+            for e in range(ptr[r], ptr[r + 1]):
+                yield ctx, self._outs[cols[e]], counts[e]
+
+    @property
+    def counts(self):
+        """Read-only view: context -> {outcome: count}."""
+        by_ctx = {}
+        for ctx, out, c in self.items():
+            by_ctx.setdefault(ctx, {})[out] = c
+        return MappingProxyType(by_ctx)
+
+    @property
+    def totals(self):
+        """Read-only view: context -> total count."""
+        return MappingProxyType(dict(zip(self._contexts(),
+                                         self._totals.tolist())))
 
 
 def fit_mixture_weights(events, k, max_iters=100, tol=1e-7):
@@ -145,14 +275,16 @@ class InterpolatedCondDist:
     def weights(self, full_ctx):
         return self.lambdas.get(self.bucket(full_ctx), self.uniform)
 
-    def component_probs(self, full_ctx, out):
-        return tuple(
-            table.prob(self.project(full_ctx, i), out)
-            for i, (table, _) in enumerate(self.components))
+    def count_weights(self, counts):
+        """``weights`` of full contexts with these counts, one row each."""
+        by_bucket = np.array([self.lambdas.get(b, self.uniform)
+                              for b in range(BUCKET_CAP + 1)])
+        return by_bucket[bucket_ids(counts)]
 
     def prob(self, full_ctx, out):
         lam = self.weights(full_ctx)
-        return sum(l * p for l, p in zip(lam, self.component_probs(full_ctx, out)))
+        return sum(lam[i] * table.prob(self.project(full_ctx, i), out)
+                   for i, (table, _) in enumerate(self.components))
 
     def dist(self, full_ctx):
         lam = self.weights(full_ctx)
@@ -164,9 +296,20 @@ class InterpolatedCondDist:
 
 
 def fit_interpolation(components, heldout_events):
-    """Fit an InterpolatedCondDist to (full_ctx, outcome) heldout pairs."""
+    """Fit an InterpolatedCondDist to (full_ctx, outcome) heldout pairs.
+    Each component's probabilities of all the events are gathered at
+    once, and the events are bucketed by their full context's count in the
+    finest component."""
+    events = list(heldout_events)
+    ctxs = [c for c, _out in events]
+    outs = [out for _c, out in events]
     probe = InterpolatedCondDist(components, {})
-    events = [(probe.bucket(c), probe.component_probs(c, out))
-              for c, out in heldout_events]
-    lambdas, trace = fit_mixture_weights(events, len(components))
+    probs = np.stack(
+        [table.probs([probe.project(c, i) for c in ctxs], outs)
+         for i, (table, _) in enumerate(components)], axis=1)
+    finest = components[-1][0]
+    buckets = bucket_ids(finest.row_totals()[finest.rows(ctxs)])
+    lambdas, trace = fit_mixture_weights(
+        list(zip(buckets.tolist(), map(tuple, probs.tolist()))),
+        len(components))
     return InterpolatedCondDist(components, lambdas, trace)

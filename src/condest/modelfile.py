@@ -12,6 +12,8 @@ fields before its first ``number`` are its key, unique in the section.
 
 import math
 
+from .interp import CondTable
+
 
 def number(text):
     """A finite float."""
@@ -102,8 +104,8 @@ def table_rows(table, outcome=str):
             for ctx, out, c in sorted(table.items())]
 
 
-def fill_table(table, rows):
-    """Add rows shaped like ``table_rows`` (outcomes already converted)."""
-    for ctx, out, c in rows:
-        table.add(tuple(ctx.split(" ")), out, c)
-    return table
+def fill_table(rows):
+    """The CondTable of rows shaped like ``table_rows`` (outcomes already
+    converted), each row's count added as its weight."""
+    return CondTable(((tuple(ctx.split(" ")), out) for ctx, out, _c in rows),
+                     [c for _ctx, _out, c in rows])

@@ -394,10 +394,10 @@ def save_sr(model, path):
 
 def load_sr(path):
     f = modelfile.read(path, SR_SCHEMA, ParserError)
-    joint = modelfile.fill_table(CondTable(), f["joint"])
+    joint = modelfile.fill_table(f["joint"])
     mixture = None
     if f["meta"]["flavor"] == "conditional":
-        full = modelfile.fill_table(CondTable(), f["full"])
+        full = modelfile.fill_table(f["full"])
         mixture = InterpolatedCondDist(_cond_components(joint, full), {
             b: tuple(ls) for b, *ls in f["lambdas"]})
     return MoveModel(f["meta"]["flavor"], f["meta"]["start"], joint,

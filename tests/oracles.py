@@ -7,10 +7,13 @@ a reference for the chart/lattice/beam implementations.
 
 import itertools
 import math
+import types
 from collections import defaultdict
 
-from condest.hmm import END, UNK, UNK_THRESHOLD
-from condest.interp import CondTable
+import numpy as np
+
+from condest.hmm import END, UNK, UNK_THRESHOLD, TaggingError
+from condest.interp import InterpolatedCondDist, bucket_id
 from condest.pcfg import Pcfg, Production, tree_productions
 from condest.shiftreduce import SHIFT, STAR, apply_move, shift, stack_top2
 from condest.trees import Tree
@@ -180,6 +183,55 @@ def raw_cll(start, theta, corpus):
 
 
 # ---------------------------------------------------------------------------
+# Count tables: dicts of dicts, one ``add`` at a time.
+
+class DictCondTable:
+    """Reference for ``interp.CondTable``: counts of (context, outcome)
+    pairs in dicts of dicts, contexts and each context's outcomes in
+    first-seen order, every count and total added as it comes."""
+
+    def __init__(self):
+        self.counts = defaultdict(dict)   # ctx -> {outcome: count}
+        self.totals = defaultdict(float)  # ctx -> total count
+
+    def add(self, ctx, out, k=1.0):
+        d = self.counts[ctx]
+        d[out] = d.get(out, 0.0) + k
+        self.totals[ctx] += k
+
+    def prob(self, ctx, out):
+        tot = self.totals.get(ctx, 0.0)
+        if tot <= 0.0:
+            return 0.0
+        return self.counts[ctx].get(out, 0.0) / tot
+
+    def total(self, ctx):
+        return self.totals.get(ctx, 0.0)
+
+    def dist(self, ctx):
+        tot = self.totals.get(ctx, 0.0)
+        if tot <= 0.0:
+            return {}
+        return {o: c / tot for o, c in self.counts[ctx].items()}
+
+    def matrix(self, ctxs, index):
+        out = np.zeros((len(ctxs), len(index)))
+        for i, ctx in enumerate(ctxs):
+            for o, p in self.dist(ctx).items():
+                if o in index:
+                    out[i, index[o]] = p
+        return out
+
+    def contexts(self):
+        return self.counts.keys()
+
+    def items(self):
+        for ctx, d in self.counts.items():
+            for out, c in d.items():
+                yield ctx, out, c
+
+
+# ---------------------------------------------------------------------------
 # Deleted interpolation: the EM for mixture weights as a plain loop.
 
 def fit_mixture_weights_loop(events, k, max_iters=100, tol=1e-7):
@@ -219,22 +271,28 @@ def fit_mixture_weights_loop(events, k, max_iters=100, tol=1e-7):
 # ---------------------------------------------------------------------------
 # Tagging: the count tables one ``add`` at a time.
 
+def words_loop(word_counts):
+    """An object whose ``map_word`` maps a word by its raw count: rare
+    words (below UNK_THRESHOLD) become UNK."""
+    return types.SimpleNamespace(
+        map_word=lambda w: w if w == END
+        or word_counts.get(w, 0) >= UNK_THRESHOLD else UNK)
+
+
 def collect_tables_loop(train):
     """Reference for ``hmm.collect_tables``: (raw word counts, {table name:
-    CondTable}) with one ``add`` per table and position, each sentence
+    DictCondTable}) with one ``add`` per table and position, each sentence
     framed by its own end markers."""
     word_counts = defaultdict(float)
     for words, _tags in train:
         for w in words:
             word_counts[w] += 1
 
-    def map_word(w):
-        return w if w == END or word_counts.get(w, 0) >= UNK_THRESHOLD \
-            else UNK
+    map_word = words_loop(word_counts).map_word
 
     names = ("trans", "emit", "emit_prev", "tag_given_word",
              "tag_given_prevword", "full0", "full1")
-    tables = {name: CondTable() for name in names}
+    tables = {name: DictCondTable() for name in names}
     for words, tags in train:
         ws = [END] + [map_word(w) for w in words] + [END]
         ts = [END] + list(tags) + [END]
@@ -263,6 +321,89 @@ def heldout_events_loop(tables, heldout, target):
         events += [((ws[j - back], ts[j - 1]), ts[j])
                    for j in range(1, len(ws))]
     return events
+
+
+REFERENCE_MIXTURES = {
+    "pr0": (("tag_given_word", (0,)), ("trans", (1,)), ("full0", (0, 1))),
+    "pr1": (("tag_given_prevword", (0,)), ("trans", (1,)), ("full1", (0, 1))),
+}
+
+
+def fit_tagger_mixture_loop(word_counts, tables, heldout, target):
+    """Reference for a tagger mixture's fit over ``collect_tables_loop``:
+    each heldout event's bucket and component probabilities read one
+    lookup at a time; returns (lambdas, trace)."""
+    comps = [(tables[name], idx) for name, idx in REFERENCE_MIXTURES[target]]
+    events = [(bucket_id(comps[-1][0].total(ctx)),
+               tuple(table.prob(tuple(ctx[j] for j in idx), t)
+                     for table, idx in comps))
+              for ctx, t in heldout_events_loop(words_loop(word_counts),
+                                                heldout, target)]
+    return fit_mixture_weights_loop(events, len(comps))
+
+
+class ReferenceTagger:
+    """Reference for ``hmm.TaggerModel``'s position factor and lattice: the
+    factor of one position at a time, every entry read from dict tables one
+    context at a time.  ``model`` supplies the variant and the mixture
+    weights; ``word_counts`` and ``tables`` are those of
+    ``collect_tables_loop``."""
+
+    def __init__(self, model, word_counts, tables):
+        self.variant = model.variant
+        self.tables = tables
+        self.map_word = words_loop(word_counts).map_word
+        self.tagset = tuple(sorted({t for _ctx, t, _c in
+                                    tables["trans"].items()} - {END}))
+        self.index = {s: i for i, s in enumerate(self.tagset + (END,))}
+        self.trans = tables["trans"].matrix([(s,) for s in self.index],
+                                            self.index)
+        self.mixtures = {
+            target: InterpolatedCondDist(
+                [(tables[name], idx) for name, idx in comps], mix.lambdas)
+            for target, comps in REFERENCE_MIXTURES.items()
+            for mix in [getattr(model, target)] if mix is not None}
+
+    def _given_tag(self, name, w):
+        return np.array([[self.tables[name].prob((s,), w)]
+                         for s in self.index])
+
+    def _mixture(self, target, word):
+        mix = self.mixtures[target]
+        (by_word, _), _, (full, _) = mix.components
+        ctxs = [(word, s) for s in self.index]
+        lam = np.array([mix.weights(c) for c in ctxs])
+        return (lam[:, 0:1] * by_word.matrix([(word,)], self.index)
+                + lam[:, 1:2] * self.trans
+                + lam[:, 2:3] * full.matrix(ctxs, self.index))
+
+    def edge_weight(self, wprev, w):
+        if self.variant == "joint":
+            return self.trans * self._given_tag("emit", w).T
+        if self.variant == "conditional":
+            return self._mixture("pr0", w)
+        if self.variant == "joint-prevword":
+            return self._given_tag("emit", w).T * self._mixture("pr1", wprev)
+        return self._mixture("pr0", w) * self._given_tag("emit_prev", w)
+
+    def lattice(self, words):
+        """(first, [mats], final), or raises TaggingError, as
+        ``TaggerModel._lattice``."""
+        n = len(self.tagset)
+        ws = [END] + [self.map_word(w) for w in words] + [END]
+        m = len(words)
+        blocks = []
+        for j in range(1, m + 2):
+            at = (n if j == 1 else slice(n), n if j == m + 1 else slice(n))
+            block = self.edge_weight(ws[j - 1], ws[j])[at]
+            if block.max() <= 0.0:
+                block = self.trans[at]
+                if block.max() <= 0.0:
+                    raise TaggingError(
+                        "no tag can reach the end marker" if j > m else
+                        "no tag has nonzero probability at position %d" % j)
+            blocks.append(np.ascontiguousarray(block))
+        return blocks[0], blocks[1:-1], blocks[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,28 @@ def test_missing_head_rules_exits_2(data_dir, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("pipeline,extra,diagnostic", [
+    ("sr-joint-vs-cond", "[beam]\nthresholds =\n",
+     "beam.thresholds: needs at least one threshold"),
+    ("pcfg-mle-vs-mcle", "[bootstrap]\niterations = 0\n",
+     "bootstrap.iterations: iterations must be >= 1"),
+    ("sr-joint-vs-cond", "[treebank]\nhead_rules = RULES\n",
+     "treebank.head_rules: head-rules line 1: missing ':'"),
+], ids=["empty-thresholds", "zero-iterations", "malformed-head-rules"])
+def test_values_a_run_would_refuse_exit_2(data_dir, tmp_path, capsys,
+                                          pipeline, extra, diagnostic):
+    """An empty threshold list, no bootstrap iterations and a malformed
+    head-rules file fail --validate, and the run, with exit 2 and a
+    message naming the key."""
+    rules = _write(tmp_path / "rules.txt", "S left NP\n")
+    cfg = _write(tmp_path / "c.cfg", _config(
+        pipeline, data_dir, tmp_path / "out", extra.replace("RULES", rules)))
+    assert cli.main(["experiment", cfg, "--validate"]) == 2
+    assert capsys.readouterr().err == diagnostic + "\n"
+    assert cli.main(["experiment", cfg]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_values_are_config_errors(data_dir, tmp_path):
     cfg = _write(tmp_path / "bad.cfg", _config(
         "sr-joint-vs-cond", data_dir, tmp_path / "out",

@@ -11,9 +11,9 @@ from condest.hmm import (END, MIXTURES, TABLES, UNK, VARIANTS, TaggedCorpus,
                          fit_deleted_interpolation, load_tagger, read_tagged,
                          save_tagger, table_pairs, tagging_accuracy,
                          write_tagged)
-from oracles import (brute_tag_decode, brute_tag_marginals,
+from oracles import (ReferenceTagger, brute_tag_decode, brute_tag_marginals,
                      brute_tag_partition, collect_tables_loop,
-                     heldout_events_loop)
+                     fit_tagger_mixture_loop, heldout_events_loop)
 
 
 @pytest.fixture
@@ -93,6 +93,44 @@ def test_tables_and_events_match_add_loop(train, heldout):
     for target, names in MIXTURES.items():
         events = list(table_pairs(tb.walk(heldout), names[-1]))
         assert events == heldout_events_loop(tb, heldout, target)
+
+
+def _lattice_or_error(lattice, words):
+    try:
+        first, mats, final = lattice(words)
+    except TaggingError as e:
+        return str(e)
+    return [first.tobytes(), [m.tobytes() for m in mats], final.tobytes()]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(train=TAGGED, heldout=TAGGED,
+       test=st.lists(st.lists(st.sampled_from("abcdef"), min_size=1,
+                              max_size=5), max_size=4))
+def test_lattice_matches_reference_tables(train, heldout, test):
+    """The mixture fits, every position factor and every sentence's lattice
+    (or its error) equal those read from dict tables one context at a time
+    (tests/oracles.py), bit for bit; "f" is never seen in training."""
+    word_counts, ref = collect_tables_loop(train)
+    for variant in VARIANTS:
+        model = TaggerModel.train(variant, train, heldout)
+        for target in MIXTURES:
+            mix = getattr(model, target)
+            if mix is not None:
+                lambdas, trace = fit_tagger_mixture_loop(word_counts, ref,
+                                                         heldout, target)
+                assert (list(mix.lambdas.items()), mix.trace) == \
+                    (list(lambdas.items()), trace)
+        oracle = ReferenceTagger(model, word_counts, ref)
+        words = sorted({model.tables.map_word(w) for w in "abcdef"}
+                       | {END, UNK})
+        for wprev in words:
+            for w in words:
+                assert model.edge_weight(wprev, w).tobytes() == \
+                    oracle.edge_weight(wprev, w).tobytes()
+        for sentence in test:
+            assert _lattice_or_error(model._lattice, sentence) == \
+                _lattice_or_error(oracle.lattice, sentence)
 
 
 def test_mixture_components_project_the_full_context():

@@ -1,10 +1,10 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from condest.interp import (CondTable, InterpolatedCondDist, bucket_id,
                             fit_interpolation, fit_mixture_weights)
-from oracles import fit_mixture_weights_loop
+from oracles import DictCondTable, fit_mixture_weights_loop
 
 
 def test_bucket_id():
@@ -30,10 +30,9 @@ def test_cond_table():
     assert sorted(t.items()) == [(("c",), "x", 2.0), (("c",), "y", 1.0)]
 
 
-PAIRS = st.lists(st.tuples(
-    st.one_of(st.tuples(st.sampled_from("abc")),
-              st.tuples(st.sampled_from("ab"), st.sampled_from("ab"))),
-    st.sampled_from("xyz")))
+CONTEXT = st.one_of(st.tuples(st.sampled_from("abc")),
+                    st.tuples(st.sampled_from("ab"), st.sampled_from("ab")))
+PAIRS = st.lists(st.tuples(CONTEXT, st.sampled_from("xyz")))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -48,6 +47,56 @@ def test_cond_table_from_pairs_equals_add_loop(pairs):
     assert list(got.totals.items()) == list(want.totals.items())
     for ctx in want.contexts():
         assert list(got.dist(ctx).items()) == list(want.dist(ctx).items())
+
+
+def _same_table(got, want):
+    """Every read of ``got`` equals that of the reference ``want``, bit for
+    bit: contexts, each context's outcomes and counts, totals, dist, prob
+    and probs, matrix and items, in order."""
+    ctxs = list(want.contexts())
+    assert list(got.contexts()) == ctxs
+    assert [(c, list(d.items())) for c, d in got.counts.items()] == \
+        [(c, list(d.items())) for c, d in want.counts.items()]
+    assert list(got.totals.items()) == list(want.totals.items())
+    assert list(got.items()) == list(want.items())
+    asked = ctxs + [("missing",)]
+    pairs = [(c, o) for c in asked for o in "xyzw"]
+    for ctx in asked:
+        assert got.total(ctx) == want.total(ctx)
+        assert list(got.dist(ctx).items()) == list(want.dist(ctx).items())
+    assert [got.prob(c, o) for c, o in pairs] == \
+        [want.prob(c, o) for c, o in pairs]
+    assert got.probs([c for c, _o in pairs], [o for _c, o in pairs]
+                     ).tolist() == [want.prob(c, o) for c, o in pairs]
+    index = {"z": 0, "x": 1}   # y left out
+    assert got.matrix(asked, index).tobytes() == \
+        want.matrix(asked, index).tobytes()
+
+
+WEIGHT = st.one_of(st.just(1.0), st.sampled_from((0.1, 0.2, 0.3, 0.0)),
+                   st.floats(-2.0, 5.0))
+ROWS = st.lists(st.tuples(CONTEXT, st.sampled_from("xyz"), WEIGHT))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rows=ROWS, later=ROWS, weighted=st.booleans())
+# a total added in input order, (0.1 + 0.2) + 0.6, differs in the last bit
+# from the sum of the counts, 0.7 + 0.2; the add must go on from the former
+@example(rows=[(("a",), "x", 0.1), (("a",), "y", 0.2), (("a",), "x", 0.6)],
+         later=[(("a",), "z", 1.0)], weighted=True)
+def test_coded_table_matches_dict_table(rows, later, weighted):
+    """Counted pairs or weighted rows, then ``add`` calls after a query
+    (as criterion 6 makes): the coded table reads as the dict table does."""
+    pairs = [(ctx, out) for ctx, out, _k in rows]
+    got = CondTable(pairs, [k for _c, _o, k in rows] if weighted else None)
+    want = DictCondTable()
+    for ctx, out, k in rows:
+        want.add(ctx, out, k if weighted else 1.0)
+    _same_table(got, want)
+    for ctx, out, k in later:
+        got.add(ctx, out, k)
+        want.add(ctx, out, k)
+    _same_table(got, want)
 
 
 def test_mixture_degenerate():
@@ -93,7 +142,8 @@ def test_interpolated_dist():
                                {bucket_id(2.0): (0.25, 0.75)})
     ctx = ("c", "d")
     assert mix.bucket(ctx) == bucket_id(2.0)
-    assert mix.component_probs(ctx, "x") == pytest.approx((0.75, 0.5))
+    assert [table.prob(mix.project(ctx, i), "x") for i, (table, _)
+            in enumerate(mix.components)] == pytest.approx([0.75, 0.5])
     assert mix.prob(ctx, "x") == pytest.approx(0.25 * 0.75 + 0.75 * 0.5)
     d = mix.dist(ctx)
     assert sum(d.values()) == pytest.approx(1.0, abs=1e-12)
