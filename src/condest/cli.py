@@ -57,7 +57,8 @@ def parse_config_text(text):
     return sections
 
 
-# Config values: a converter raises ValueError on bad text.
+# Config values: a converter raises ValueError on bad text, or OSError on a
+# file it cannot read.
 
 REQUIRED = object()   # the default of a key that must be set
 
@@ -90,9 +91,21 @@ def _field(cls, name, parse):
             getattr(cls, name))
 
 
+def _flag(convert):
+    """argparse ``type`` for ``convert``: a refused value is a usage error."""
+    def parse(text):
+        try:
+            return convert(text)
+        except (ValueError, OSError) as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+    return parse
+
+
+_threshold = _field(BeamConfig, "threshold", float)[0]
+
+
 def _thresholds(text):
-    values = tuple(BeamConfig(threshold=float(x)).threshold
-                   for x in text.split())
+    values = tuple(map(_threshold, text.split()))
     if not values:
         raise ValueError("needs at least one threshold")
     return values
@@ -100,10 +113,7 @@ def _thresholds(text):
 
 def _head_rules_file(text):
     """A head-rules file, read and checked as the pipeline reads it."""
-    try:
-        return trees.HeadRules.from_file(_path(text))
-    except OSError as e:
-        raise ValueError(str(e)) from None
+    return trees.HeadRules.from_file(_path(text))
 
 
 def _corpus(*extra):
@@ -149,7 +159,7 @@ def load_config(path):
             elif text is not None:
                 try:
                     value = convert(text)
-                except ValueError as e:
+                except (ValueError, OSError) as e:
                     errors.append("%s.%s: %s" % (section, key, e))
             setattr(cfg, key, value)
     if errors:
@@ -374,8 +384,7 @@ def _cmd_tag(args):
 
 
 def _cmd_train_sr(args):
-    rules = (trees.HeadRules.from_file(args.head_rules) if args.head_rules
-             else trees.HeadRules())
+    rules = args.head_rules or trees.HeadRules()
     train = _read_binarized(args.train, rules)
     if args.flavor == "joint":
         model = shiftreduce.estimate_joint(train)
@@ -451,11 +460,15 @@ def build_parser():
         return sp
 
     # An option whose default is SUPPRESS keeps, when left out, the default
-    # of the function or dataclass it is passed to (_given).
+    # of the function or dataclass it is passed to (_given).  An option that
+    # sets a config key's value is checked by the key's converter.
+    key = {k: _flag(convert) for _run, sections in PIPELINES.values()
+           for keys in sections.values() for k, (convert, _) in keys.items()}
     sp = command("train-pcfg", _cmd_train_pcfg, "--train", "-o --output")
     sp.add_argument("--mode", choices=("mle", "mcle"), default="mle")
-    sp.add_argument("--max-iters", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    sp.add_argument("--max-iters", type=key["max_iters"],
+                    default=argparse.SUPPRESS)
+    sp.add_argument("--tol", type=key["tol"], default=argparse.SUPPRESS)
     command("parse", _cmd_parse, "--grammar", "--input", "-o --output")
     sp = command("train-tagger", _cmd_train_tagger, "--train", "-o --output")
     sp.add_argument("--heldout")
@@ -464,15 +477,16 @@ def build_parser():
     sp = command("train-sr", _cmd_train_sr, "--train", "-o --output")
     sp.add_argument("--heldout")
     sp.add_argument("--flavor", choices=("joint", "cond"), default="joint")
-    sp.add_argument("--head-rules")
+    sp.add_argument("--head-rules", type=key["head_rules"])
     sp = command("parse-sr", _cmd_parse_sr, "--model", "--input",
                  "-o --output")
-    sp.add_argument("--beam", dest="threshold", type=float,
+    sp.add_argument("--beam", dest="threshold", type=_flag(_threshold),
                     default=argparse.SUPPRESS)
     sp.add_argument("--no-observed-pair-filter", action="store_true")
     command("eval", _cmd_eval, "--gold", "--pred")
     sp = command("bootstrap", _cmd_bootstrap, "--gold", "--a", "--b")
-    sp.add_argument("--iterations", type=int, default=argparse.SUPPRESS)
+    sp.add_argument("--iterations", type=key["iterations"],
+                    default=argparse.SUPPRESS)
     sp.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     sp = command("experiment", _cmd_experiment)
     sp.add_argument("config")

@@ -230,10 +230,9 @@ class TaggerModel:
         syms = tb.tagset + (END,)
         self._index = index = {s: i for i, s in enumerate(syms)}
         self._trans = tb.trans.matrix([(s,) for s in syms], index)
-        # P(w | s) over (s, word)
-        self._emit = {name: getattr(tb, name).matrix([(s,) for s in syms],
-                                                     words)
-                      for name in ("emit", "emit_prev")}
+        # P(w | s) over (s, word), from the emission table the variant reads
+        emit = "emit_prev" if self.variant == "joint-nextemit" else "emit"
+        self._emit = getattr(tb, emit).matrix([(s,) for s in syms], words)
         mix = next((getattr(self, t) for t in VARIANT_MIXTURES[self.variant]),
                    None)
         if mix is not None:
@@ -273,8 +272,7 @@ class TaggerModel:
         wp, w = (np.array([self.tables.words.get(x, other)
                            for x in ([ws] if one else ws)], dtype=np.intp)
                  for ws in (wprev, w))
-        emit = self._emit["emit_prev" if self.variant == "joint-nextemit"
-                          else "emit"][:, w].T   # P(w | s) over (p, s)
+        emit = self._emit[:, w].T   # P(w | s) over (p, s)
         if self.variant == "joint":
             out = self._trans * emit[:, None, :]
         elif self.variant == "conditional":

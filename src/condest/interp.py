@@ -8,8 +8,8 @@ heldout data by EM on the weight simplex.
 
 import functools
 import math
+import operator
 from collections import defaultdict
-from types import MappingProxyType
 
 import numpy as np
 
@@ -66,8 +66,7 @@ class CondTable:
     (context, outcome) pairs in an integer-coded, CSR-like form.  Row r is
     the r-th context in order of first appearance; its entries
     ``ptr[r]:ptr[r+1]`` are outcome ids with their counts, in order of
-    first appearance.  One more row, empty, stands for unseen contexts.
-    ``add`` adds a weighted count; the next query recompiles the arrays."""
+    first appearance.  One more row, empty, stands for unseen contexts."""
 
     def __init__(self, pairs=(), weights=None):
         """Count ``pairs``, pair i adding ``weights[i]`` if given."""
@@ -96,31 +95,25 @@ class CondTable:
         tot = np.repeat(self._totals, np.diff(self._ptr))
         self._probs = np.divide(counts, tot, out=np.zeros(len(counts)),
                                 where=tot > 0.0)
-        self._row, self._pending = None, []
+        self._row = None
 
     def add(self, ctx, out, k=1.0):
-        self._pending.append((ctx, out, k))
-
-    def _compiled(self):
-        if self._pending:   # counts and totals go on adding in call order
-            pending, self._pending = self._pending, []
-            totals = dict(self.totals)
-            for ctx, _out, k in pending:
-                totals[ctx] = totals.get(ctx, 0.0) + k
-            rows = [*self.items(), *pending]
-            new = CondTable([(c, o) for c, o, _k in rows],
-                            [k for _c, _o, k in rows])
-            self._load(new._ctxs, new._outs, new._ptr[:-1], new._cols,
-                       new._counts, [totals[c] for c in new._ctxs])
-        return self
+        """Add ``k`` to the count of (ctx, out), merged into the arrays at
+        once; counts and totals go on adding in call order."""
+        totals = dict(zip(self._contexts(), self._totals.tolist()))
+        totals[ctx] = totals.get(ctx, 0.0) + k
+        rows = [*self.items(), (ctx, out, k)]
+        new = CondTable([(c, o) for c, o, _k in rows], [k for *_p, k in rows])
+        self._load(new._ctxs, new._outs, new._ptr[:-1], new._cols,
+                   new._counts, [totals[c] for c in new._ctxs])
 
     def _contexts(self):
-        if callable(self._compiled()._ctxs):
+        if callable(self._ctxs):
             self._ctxs = self._ctxs()
         return self._ctxs
 
     def _rows(self):
-        if self._compiled()._row is None:
+        if self._row is None:
             self._row = {c: r for r, c in enumerate(self._contexts())}
         return self._row
 
@@ -130,7 +123,7 @@ class CondTable:
         return np.array([row.get(c, empty) for c in ctxs], dtype=np.intp)
 
     def row_totals(self):
-        return self._compiled()._totals
+        return self._totals
 
     def _entries(self, rows):
         """Each entry of ``rows`` in turn: its row's place there, its index."""
@@ -167,7 +160,7 @@ class CondTable:
         """``prob`` over ``ctxs`` × outcomes as one array; ``index`` maps an
         outcome to its column, and other outcomes are left out.  ``ctxs``
         None stands for every row, the empty row last."""
-        rows = (np.arange(len(self._compiled()._totals)) if ctxs is None
+        rows = (np.arange(len(self._totals)) if ctxs is None
                 else self.rows(ctxs))
         which, entry = self._entries(rows)
         col = np.array([index.get(o, -1) for o in self._outs],
@@ -180,25 +173,11 @@ class CondTable:
         return self._rows().keys()
 
     def items(self):
-        ptr, cols = self._compiled()._ptr.tolist(), self._cols.tolist()
+        ptr, cols = self._ptr.tolist(), self._cols.tolist()
         counts = self._counts.tolist()
         for r, ctx in enumerate(self._contexts()):
             for e in range(ptr[r], ptr[r + 1]):
                 yield ctx, self._outs[cols[e]], counts[e]
-
-    @property
-    def counts(self):
-        """Read-only view: context -> {outcome: count}."""
-        by_ctx = {}
-        for ctx, out, c in self.items():
-            by_ctx.setdefault(ctx, {})[out] = c
-        return MappingProxyType(by_ctx)
-
-    @property
-    def totals(self):
-        """Read-only view: context -> total count."""
-        return MappingProxyType(dict(zip(self._contexts(),
-                                         self._totals.tolist())))
 
 
 def fit_mixture_weights(events, k, max_iters=100, tol=1e-7):
@@ -229,23 +208,18 @@ def fit_mixture_weights(events, k, max_iters=100, tol=1e-7):
     probs = np.array(rows, dtype=float).reshape(-1, k)[order]
     lam = np.full((len(buckets), k), 1.0 / k)
     trace = []
-    prev_ll = None
     for _ in range(max_iters):
         terms = lam[bid] * probs
         mix = sum(terms.T)
-        ll = 0.0
-        for m in mix.tolist():
-            ll += math.log(m)
+        ll = functools.reduce(operator.add, map(math.log, mix.tolist()), 0.0)
         acc = np.stack([np.bincount(bid, t / mix, len(buckets))
                         for t in terms.T], axis=1)
         tot = sum(acc.T)
         lam = np.full_like(lam, 1.0 / k)
         lam[tot > 0] = acc[tot > 0] / tot[tot > 0, None]
         trace.append(ll)
-        if prev_ll is not None:
-            if ll - prev_ll < tol * (abs(prev_ll) + 1.0):
-                break
-        prev_ll = ll
+        if len(trace) > 1 and ll - trace[-2] < tol * (abs(trace[-2]) + 1.0):
+            break
     return dict(zip(buckets, map(tuple, lam.tolist()))), trace
 
 
@@ -282,9 +256,7 @@ class InterpolatedCondDist:
         return by_bucket[bucket_ids(counts)]
 
     def prob(self, full_ctx, out):
-        lam = self.weights(full_ctx)
-        return sum(lam[i] * table.prob(self.project(full_ctx, i), out)
-                   for i, (table, _) in enumerate(self.components))
+        return self.dist(full_ctx).get(out, 0.0)
 
     def dist(self, full_ctx):
         lam = self.weights(full_ctx)

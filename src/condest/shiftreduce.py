@@ -11,6 +11,7 @@ distribution to the allowed move set and renormalizing.
 import functools
 import logging
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -170,7 +171,8 @@ class MoveModel:
             candidates = self.cond_mixture.dist((s1, s2, lookahead))
         masked = {m: p for m, p in candidates.items()
                   if p > 0.0 and self.allowed(m, s1, s2, lookahead)}
-        total = sum(masked.values())
+        # left to right: from Python 3.12 builtin sum rounds otherwise
+        total = functools.reduce(operator.add, masked.values(), 0.0)
         if total <= 0.0:
             return {}
         return {m: p / total for m, p in masked.items()}

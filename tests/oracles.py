@@ -253,11 +253,15 @@ def fit_mixture_weights_loop(events, k, max_iters=100, tol=1e-7):
             lam = lambdas[b]
             acc = [0.0] * k
             for probs in items:
-                mix = sum(l * p for l, p in zip(lam, probs))
+                mix = 0.0
+                for l, p in zip(lam, probs):
+                    mix += l * p
                 ll += math.log(mix)
                 for i in range(k):
                     acc[i] += lam[i] * probs[i] / mix
-            tot = sum(acc)
+            tot = 0.0
+            for a in acc:
+                tot += a
             new[b] = tuple(a / tot for a in acc) if tot > 0 else uniform
         trace.append(ll)
         lambdas = new

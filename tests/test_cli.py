@@ -182,6 +182,43 @@ def test_values_a_run_would_refuse_exit_2(data_dir, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv,flag,diagnostic", [
+    ("train-pcfg --mode mcle --max-iters 0", "--max-iters",
+     "AscentConfig fields must be positive"),
+    ("train-pcfg --mode mcle --tol -1", "--tol",
+     "AscentConfig fields must be positive"),
+    ("parse-sr --beam 0", "--beam", "threshold must be in (0, 1]"),
+    ("parse-sr --beam 2", "--beam", "threshold must be in (0, 1]"),
+    ("bootstrap --iterations 0", "--iterations", "iterations must be >= 1"),
+    ("train-sr --head-rules RULES", "--head-rules",
+     "head-rules line 1: missing ':'"),
+    ("train-sr --head-rules MISSING", "--head-rules",
+     "path does not exist: MISSING"),
+], ids=["max-iters", "tol", "beam-0", "beam-2", "iterations",
+        "malformed-head-rules", "missing-head-rules"])
+def test_bad_flag_value_exits_2(data_dir, tmp_path, capsys, argv, flag,
+                                diagnostic):
+    """A flag value its config key would refuse is a usage error: exit 2,
+    the flag and the key's diagnostic on stderr, no traceback."""
+    paths = {"RULES": _write(tmp_path / "rules.txt", "S left NP\n"),
+             "MISSING": str(tmp_path / "missing.txt")}
+    required = {"train-pcfg": ["--train", str(data_dir / "pcfg_train.mrg")],
+                "parse-sr": ["--model", "m", "--input", "i"],
+                "bootstrap": ["--gold", "g", "--a", "a", "--b", "b"],
+                "train-sr": ["--train", str(data_dir / "sr_train.mrg")]}
+    command, *rest = [paths.get(a, a) for a in argv.split()]
+    out = str(tmp_path / "out")
+    with pytest.raises(SystemExit) as e:
+        cli.main([command, *required[command], *rest]
+                 + ([] if command == "bootstrap" else ["-o", out]))
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument %s: %s\n" % (
+        flag, diagnostic.replace("MISSING", paths["MISSING"])))
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 def test_bad_values_are_config_errors(data_dir, tmp_path):
     cfg = _write(tmp_path / "bad.cfg", _config(
         "sr-joint-vs-cond", data_dir, tmp_path / "out",

@@ -66,8 +66,8 @@ def test_collect_tables_counts(det_corpus):
 def _rows(table):
     """A CondTable's contexts, each with its outcomes and counts, and its
     totals, all in insertion order."""
-    return ([(ctx, list(d.items())) for ctx, d in table.counts.items()],
-            list(table.totals.items()))
+    return (list(table.items()),
+            [(ctx, table.total(ctx)) for ctx in table.contexts()])
 
 
 # Small vocabularies, so that words fall below the UNK threshold and
@@ -93,6 +93,39 @@ def test_tables_and_events_match_add_loop(train, heldout):
     for target, names in MIXTURES.items():
         events = list(table_pairs(tb.walk(heldout), names[-1]))
         assert events == heldout_events_loop(tb, heldout, target)
+
+
+def _reads(table, ctxs, index):
+    """A table's items, each context's total and dist, and its matrix."""
+    return (list(table.items()),
+            [(table.total(c), list(table.dist(c).items())) for c in ctxs],
+            table.matrix(ctxs, index).tobytes())
+
+
+SYMBOL = st.sampled_from(["a", "c", UNK, END, "X", "Z", "new"])
+ADDS = st.lists(st.tuples(st.tuples(SYMBOL, SYMBOL), SYMBOL,
+                          st.sampled_from((1.0, 0.1, 0.2, 2.5))),
+                max_size=6)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(train=TAGGED, name=st.sampled_from(list(TABLES)), before=ADDS,
+       after=ADDS)
+def test_add_to_counted_table_matches_add_loop(train, name, before, after):
+    """Counts added to a ``collect_tables`` table, first while its contexts
+    are still unmade, then after a query, read as the same adds on the
+    ``collect_tables_loop`` table."""
+    got = getattr(collect_tables(train), name)
+    want = collect_tables_loop(train)[1][name]
+    width = len(TABLES[name][0])
+    for adds in (before, after):
+        for ctx, out, k in adds:
+            got.add(ctx[:width], out, k)
+            want.add(ctx[:width], out, k)
+        ctxs = [*want.contexts(), ("new",) * width]
+        outs = sorted({o for _c, o, _k in want.items()} | {"new"})
+        index = {o: i for i, o in enumerate(reversed(outs))}
+        assert _reads(got, ctxs, index) == _reads(want, ctxs, index)
 
 
 def _lattice_or_error(lattice, words):

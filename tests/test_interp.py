@@ -42,22 +42,19 @@ def test_cond_table_from_pairs_equals_add_loop(pairs):
     want = CondTable()
     for ctx, out in pairs:
         want.add(ctx, out)
-    assert [(c, list(d.items())) for c, d in got.counts.items()] == \
-        [(c, list(d.items())) for c, d in want.counts.items()]
-    assert list(got.totals.items()) == list(want.totals.items())
+    assert list(got.items()) == list(want.items())
+    assert [(c, got.total(c)) for c in got.contexts()] == \
+        [(c, want.total(c)) for c in want.contexts()]
     for ctx in want.contexts():
         assert list(got.dist(ctx).items()) == list(want.dist(ctx).items())
 
 
 def _same_table(got, want):
     """Every read of ``got`` equals that of the reference ``want``, bit for
-    bit: contexts, each context's outcomes and counts, totals, dist, prob
-    and probs, matrix and items, in order."""
+    bit: contexts, each context's outcomes and counts (items), totals,
+    dist, prob and probs, and matrix, in order."""
     ctxs = list(want.contexts())
     assert list(got.contexts()) == ctxs
-    assert [(c, list(d.items())) for c, d in got.counts.items()] == \
-        [(c, list(d.items())) for c, d in want.counts.items()]
-    assert list(got.totals.items()) == list(want.totals.items())
     assert list(got.items()) == list(want.items())
     asked = ctxs + [("missing",)]
     pairs = [(c, o) for c in asked for o in "xyzw"]
@@ -150,6 +147,29 @@ def test_interpolated_dist():
     assert d["x"] == pytest.approx(mix.prob(ctx, "x"))
     # unseen bucket falls back to uniform weights
     assert mix.weights(("q", "r")) == (0.5, 0.5)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.tuples(st.tuples(*[st.sampled_from("ab")] * 3),
+                               st.sampled_from("xyz"),
+                               WEIGHT.filter(lambda k: k > 0.0)),
+                     min_size=1),
+       k=st.sampled_from((2, 3)), lam=st.tuples(*[st.floats(0.0, 1.0)] * 3))
+def test_mixture_prob_is_its_dist(rows, k, lam):
+    """A mixture's ``prob`` is its ``dist`` entry, bit for bit: the
+    components' weighted probabilities added left to right, as a loop adds
+    them on any Python version.  Buckets above 2 take uniform weights."""
+    places = [(0,), (0, 1), (0, 1, 2)][-k:]
+    mix = InterpolatedCondDist(
+        [(CondTable([(tuple(c[j] for j in idx), o) for c, o, _w in rows],
+                    [w for _c, _o, w in rows]), idx) for idx in places],
+        {b: lam[:k] for b in (0, 1, 2)})
+    for ctx in [c for c, _o, _w in rows] + [("a", "b", "q")]:
+        for out in "xyzw":
+            want = 0.0
+            for i, w in enumerate(mix.weights(ctx)):
+                want += w * mix.components[i][0].prob(mix.project(ctx, i), out)
+            assert mix.prob(ctx, out) == mix.dist(ctx).get(out, 0.0) == want
 
 
 def test_fit_interpolation():

@@ -203,7 +203,9 @@ def _fresh_move_probs(model, s1, s2, la):
         dist = model.cond_mixture.dist((s1, s2, la))
     masked = {m: p for m, p in dist.items()
               if p > 0.0 and model.allowed(m, s1, s2, la)}
-    total = sum(masked.values())
+    total = 0.0   # left to right, as builtin sum did before Python 3.12
+    for p in masked.values():
+        total += p
     return {m: p / total for m, p in masked.items()} if total > 0.0 else {}
 
 
@@ -236,6 +238,23 @@ def test_move_view_matches_fresh_tables():
     assert model.move_view("B", "A") == (
         tuple((m, math.log(0.25)) for m in (reduce1("A"), reduce1("Y"),
                                             reduce2("S"), reduce2("Z"))), {})
+
+
+def test_move_probs_renormalise_left_to_right():
+    """The masked probabilities are added left to right in table order, so
+    the renormalised values do not depend on how the interpreter's builtin
+    ``sum`` rounds (compensated from Python 3.12): here that total is
+    0.9999999999999997, where a correctly rounded sum gives ...98."""
+    model = estimate_joint(Corpus([t("(S (A a) (B b))")]))
+    for label in "XYZ":
+        model.joint_table.add(("B", "A"), reduce1(label), 0.1)
+    dist = model.joint_table.dist(("B", "A"))
+    total = 0.0
+    for m in (reduce2("S"), reduce1("X"), reduce1("Y"), reduce1("Z")):
+        total += dist[m]
+    assert total == 0.9999999999999997 != math.fsum(dist.values())
+    assert model.move_probs("B", "A") == {m: p / total
+                                          for m, p in dist.items()}
 
 
 def test_beam_config_validation():
