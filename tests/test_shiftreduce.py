@@ -195,6 +195,53 @@ def test_beam_logs_max_states_truncation(caplog):
         "1 at word position 2"]
 
 
+class _ScoreTable:
+    """A stand-in model for beam_parse: fixed move log-scores per (s1, s2),
+    whatever the look-ahead; it refuses to answer more than ``limit``
+    queries, so a beam that cycles fails instead of hanging."""
+
+    def __init__(self, scores, limit=100):
+        self.scores = scores
+        self.observed_pairs = frozenset(scores)
+        self.limit = limit
+
+    def move_view(self, s1, s2, _lookahead=None):
+        self.limit -= 1
+        assert self.limit >= 0, "beam keeps expanding"
+        moves = self.scores.get((s1, s2), {})
+        return (tuple(sorted((m, lp) for m, lp in moves.items()
+                             if m.kind != SHIFT)),
+                {m.label: lp for m, lp in moves.items() if m.kind == SHIFT})
+
+
+def test_beam_keeps_the_prefix_on_a_unary_tie():
+    # reduce1 X over X scores log 1 == 0.0: (shift a, reduce1 X) and
+    # (shift a, reduce1 X, reduce1 X) reach the stack (X,) with equal
+    # scores, and the beam keeps the lexicographically smaller prefix
+    # (keeping the longer one would expand X forever)
+    half = math.log(0.5)
+    model = _ScoreTable({
+        (STAR, STAR): {shift("a"): 0.0},
+        ("a", STAR): {reduce1("X"): half},
+        ("X", STAR): {reduce1("X"): 0.0, reduce1("S"): half},
+        ("S", STAR): {shift(STAR): 0.0}})
+    assert beam_parse(model, ["a"]) == t("(S (X a))")
+
+
+def test_max_states_cut_breaks_score_ties_by_moves(caplog):
+    # P(reduce1 X | a, *) = 1, so at word position 1 the states (a,) and
+    # (X,) tie on log p == 0.0; the cut to one state keeps (a,), whose
+    # moves (shift a) are a prefix of (shift a, reduce1 X), and (a,) cannot
+    # shift b; keeping (X,) instead would complete the parse
+    model = estimate_joint(Corpus([t("(S (X a) b)")]))
+    assert model.move_probs("a", STAR) == {reduce1("X"): 1.0}
+    assert beam_parse(model, ["a", "b"]) == t("(S (X a) b)")
+    with caplog.at_level(logging.WARNING, logger="condest.shiftreduce"):
+        assert beam_parse(model, ["a", "b"], BeamConfig(max_states=1)) is None
+    assert [r.getMessage() for r in caplog.records] == [
+        "beam_parse dropped states past max_states=1: 1 at word position 1"]
+
+
 def _fresh_move_probs(model, s1, s2, la):
     """The masked, renormalised table distribution, derived from scratch."""
     if model.flavor == "joint":
