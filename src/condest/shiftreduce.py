@@ -262,19 +262,56 @@ def parse_log_prob(model, moves, words):
 
 
 # ---------------------------------------------------------------------------
-# Beam search, synchronized on the number of words shifted.
+# Beam search, synchronized on the number of words shifted.  A state is a
+# tuple (logp, parent, move, sid): its score, the state it extends by
+# ``move`` (None for the start state), and the id of its label stack in the
+# parse's _Stacks.  Its move sequence is read back along the parents only
+# where two states tie exactly on logp.
 
-class _State(NamedTuple):
-    logp: float
-    moves: tuple
-    labels: tuple   # stack labels, bottom to top
+class _Stacks:
+    """The label stacks of one parse, interned: a stack is an int id, 0 the
+    empty stack, and a move maps an id to an id with one dict lookup."""
+
+    def __init__(self):
+        self.ids = {}                  # (id below, top label) -> id
+        self.down = [(0, None, None)]  # id -> ids after popping 0, 1, 2 labels
+        self.pair = [(STAR, STAR)]     # id -> (s1, s2), as stack_top2 gives
+
+    def apply(self, sid, move):
+        """The id of ``apply_move`` of the stack ``sid``."""
+        arity = ARITY.get(move.kind)
+        if arity is None:
+            raise ParserError("unknown move kind %r" % (move.kind,))
+        base = self.down[sid][arity]
+        if base is None:
+            raise ParserError("stack too short for %s" % (move.kind,))
+        key = (base, move.label)
+        new = self.ids.get(key)
+        if new is None:
+            new = self.ids[key] = len(self.pair)
+            self.down.append((new, base, self.down[base][1]))
+            self.pair.append((move.label, self.pair[base][0]))
+        return new
+
+
+def _moves(state):
+    """A state's move sequence, read back along its parents."""
+    moves = []
+    while state[1] is not None:
+        moves.append(state[2])
+        state = state[1]
+    return tuple(reversed(moves))
 
 
 def _better(a, b):
     """Preference order: higher score, then lexicographically smaller moves."""
-    if a.logp != b.logp:
-        return a.logp > b.logp
-    return a.moves < b.moves
+    if a[0] != b[0]:
+        return a[0] > b[0]
+    return _moves(a) < _moves(b)
+
+
+# (-logp, moves) order as a sort key; no two states of a pool share moves
+_RANK = functools.cmp_to_key(lambda a, b: -1 if _better(a, b) else 1)
 
 
 def beam_parse(model, words, cfg=None):
@@ -291,55 +328,58 @@ def beam_parse(model, words, cfg=None):
         raise ParserError("empty sentence")
     sentence = words + [STAR]
     log_thr = math.log(cfg.threshold)
+    stacks = _Stacks()
+    pair, apply = stacks.pair, stacks.apply
+    observed = model.observed_pairs if cfg.require_observed_pairs else None
 
-    def keep(state):
-        if not cfg.require_observed_pairs:
-            return True
-        return stack_top2(state.labels) in model.observed_pairs
-
-    frontier = {(): _State(0.0, (), ())}
+    frontier = {0: (0.0, None, None, 0)}
     best_complete = None
     truncated = []   # (word position, states dropped) past max_states
     for k, lookahead in enumerate(sentence):
         # close the class under reduce moves
         pool = dict(frontier)
-        best_logp = max((s.logp for s in pool.values()), default=float("-inf"))
-        worklist = deque(sorted(pool.values(),
-                                key=lambda s: (-s.logp, s.moves)))
+        best_logp = max(s[0] for s in pool.values())
+        worklist = deque(sorted(pool.values(), key=_RANK))
         while worklist:
             state = worklist.popleft()
-            if pool.get(state.labels) is not state:
+            logp, _, _, sid = state
+            if pool[sid] is not state:
                 continue  # superseded
-            reduces, _ = model.move_view(*stack_top2(state.labels), lookahead)
+            reduces, _ = model.move_view(*pair[sid], lookahead)
             for move, lp in reduces:
-                new = _apply_to_state(state, move, lp)
-                if new.logp < best_logp + log_thr or not keep(new):
+                new_logp = logp + lp
+                if new_logp < best_logp + log_thr:
                     continue
-                cur = pool.get(new.labels)
+                new_sid = apply(sid, move)
+                if observed is not None and pair[new_sid] not in observed:
+                    continue
+                new = (new_logp, state, move, new_sid)
+                cur = pool.get(new_sid)
                 if cur is None or _better(new, cur):
-                    pool[new.labels] = new
+                    pool[new_sid] = new
                     worklist.append(new)
-                    best_logp = max(best_logp, new.logp)
-        states = [s for s in pool.values() if s.logp >= best_logp + log_thr]
+                    best_logp = max(best_logp, new_logp)
+        states = [s for s in pool.values() if s[0] >= best_logp + log_thr]
         if len(states) > cfg.max_states:
             truncated.append((k, len(states) - cfg.max_states))
-            states.sort(key=lambda s: (-s.logp, s.moves))
-            states = states[:cfg.max_states]
+            states = sorted(states, key=_RANK)[:cfg.max_states]
         # shift the look-ahead (or accept with the final STAR shift)
+        move = shift(lookahead)
         frontier = {}
         for state in states:
-            _, shifts = model.move_view(*stack_top2(state.labels), lookahead)
-            lp = shifts.get(lookahead)
+            sid = state[3]
+            lp = model.move_view(*pair[sid], lookahead)[1].get(lookahead)
             if lp is None:
                 continue
-            new = _apply_to_state(state, shift(lookahead), lp)
+            new_sid = apply(sid, move)
+            new = (state[0] + lp, state, move, new_sid)
             if lookahead == STAR:
                 if best_complete is None or _better(new, best_complete):
                     best_complete = new
-            elif keep(new):
-                cur = frontier.get(new.labels)
+            elif observed is None or pair[new_sid] in observed:
+                cur = frontier.get(new_sid)
                 if cur is None or _better(new, cur):
-                    frontier[new.labels] = new
+                    frontier[new_sid] = new
         if not frontier and lookahead != STAR:
             break
     if truncated:
@@ -347,12 +387,7 @@ def beam_parse(model, words, cfg=None):
                     cfg.max_states, ", ".join("%d at word position %d" % (n, k)
                                               for k, n in truncated))
     return (None if best_complete is None
-            else tree_from_moves(best_complete.moves))
-
-
-def _apply_to_state(state, move, logp):
-    return _State(state.logp + logp, state.moves + (move,),
-                  apply_move(state.labels, move))
+            else tree_from_moves(_moves(best_complete)))
 
 
 def parse_corpus(model, sentences, cfg=None):

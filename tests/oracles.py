@@ -6,16 +6,20 @@ a reference for the chart/lattice/beam implementations.
 """
 
 import itertools
+import logging
 import math
 import types
-from collections import defaultdict
+from collections import defaultdict, deque
+from typing import NamedTuple
 
 import numpy as np
 
 from condest.hmm import END, UNK, UNK_THRESHOLD, TaggingError
 from condest.interp import InterpolatedCondDist, bucket_id
 from condest.pcfg import Pcfg, Production, tree_productions
-from condest.shiftreduce import SHIFT, STAR, apply_move, shift, stack_top2
+from condest.shiftreduce import (SHIFT, STAR, BeamConfig, ParserError,
+                                 apply_move, shift, stack_top2,
+                                 tree_from_moves)
 from condest.trees import Tree
 
 
@@ -494,6 +498,105 @@ def brute_sr_best(model, words):
     if not parses:
         return None
     return min(parses, key=lambda mp: (-mp[1], mp[0]))
+
+
+# ---------------------------------------------------------------------------
+# Shift-reduce: the tuple-state beam, kept as the reference for the
+# back-pointer beam of ``shiftreduce.beam_parse``.  Each state carries its
+# whole move sequence and label stack.
+
+log = logging.getLogger(__name__)
+
+
+class _State(NamedTuple):
+    logp: float
+    moves: tuple
+    labels: tuple   # stack labels, bottom to top
+
+
+def _better(a, b):
+    """Preference order: higher score, then lexicographically smaller moves."""
+    if a.logp != b.logp:
+        return a.logp > b.logp
+    return a.moves < b.moves
+
+
+def beam_parse_reference(model, words, cfg=None):
+    """Best-first beam parse; returns the highest-scoring complete parse
+    (debinarize-ready) or None when the beam empties.
+
+    States sharing a prefix length form one pruning class: a state scoring
+    below threshold * best-in-class is dropped, as is (optionally) any state
+    whose top two stack labels were never observed in training.
+    """
+    cfg = cfg or BeamConfig()
+    words = list(words)
+    if not words:
+        raise ParserError("empty sentence")
+    sentence = words + [STAR]
+    log_thr = math.log(cfg.threshold)
+
+    def keep(state):
+        if not cfg.require_observed_pairs:
+            return True
+        return stack_top2(state.labels) in model.observed_pairs
+
+    frontier = {(): _State(0.0, (), ())}
+    best_complete = None
+    truncated = []   # (word position, states dropped) past max_states
+    for k, lookahead in enumerate(sentence):
+        # close the class under reduce moves
+        pool = dict(frontier)
+        best_logp = max((s.logp for s in pool.values()), default=float("-inf"))
+        worklist = deque(sorted(pool.values(),
+                                key=lambda s: (-s.logp, s.moves)))
+        while worklist:
+            state = worklist.popleft()
+            if pool.get(state.labels) is not state:
+                continue  # superseded
+            reduces, _ = model.move_view(*stack_top2(state.labels), lookahead)
+            for move, lp in reduces:
+                new = _apply_to_state(state, move, lp)
+                if new.logp < best_logp + log_thr or not keep(new):
+                    continue
+                cur = pool.get(new.labels)
+                if cur is None or _better(new, cur):
+                    pool[new.labels] = new
+                    worklist.append(new)
+                    best_logp = max(best_logp, new.logp)
+        states = [s for s in pool.values() if s.logp >= best_logp + log_thr]
+        if len(states) > cfg.max_states:
+            truncated.append((k, len(states) - cfg.max_states))
+            states.sort(key=lambda s: (-s.logp, s.moves))
+            states = states[:cfg.max_states]
+        # shift the look-ahead (or accept with the final STAR shift)
+        frontier = {}
+        for state in states:
+            _, shifts = model.move_view(*stack_top2(state.labels), lookahead)
+            lp = shifts.get(lookahead)
+            if lp is None:
+                continue
+            new = _apply_to_state(state, shift(lookahead), lp)
+            if lookahead == STAR:
+                if best_complete is None or _better(new, best_complete):
+                    best_complete = new
+            elif keep(new):
+                cur = frontier.get(new.labels)
+                if cur is None or _better(new, cur):
+                    frontier[new.labels] = new
+        if not frontier and lookahead != STAR:
+            break
+    if truncated:
+        log.warning("beam_parse dropped states past max_states=%d: %s",
+                    cfg.max_states, ", ".join("%d at word position %d" % (n, k)
+                                              for k, n in truncated))
+    return (None if best_complete is None
+            else tree_from_moves(best_complete.moves))
+
+
+def _apply_to_state(state, move, logp):
+    return _State(state.logp + logp, state.moves + (move,),
+                  apply_move(state.labels, move))
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,20 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from condest import toydata
-from condest.shiftreduce import (SHIFT, STAR, BeamConfig, Move, ParserError,
-                                 apply_move, beam_parse, estimate_conditional,
+from condest.shiftreduce import (REDUCE1, REDUCE2, SHIFT, STAR, BeamConfig,
+                                 Move, ParserError, _Stacks, apply_move,
+                                 beam_parse, estimate_conditional,
                                  estimate_joint, load_sr, oracle_moves,
                                  parse_corpus, parse_log_prob, reduce1,
                                  reduce2, save_sr, shift, stack_top2,
                                  tree_from_moves)
 from condest.trees import Corpus, binarize, parse_trees, tree_yield
-from oracles import brute_sr_best, enumerate_sr_parses, random_binary_tree
+from oracles import (beam_parse_reference, brute_sr_best, enumerate_sr_parses,
+                     random_binary_tree, random_nary_tree)
 
 
 def t(s):
@@ -240,6 +244,66 @@ def test_max_states_cut_breaks_score_ties_by_moves(caplog):
         assert beam_parse(model, ["a", "b"], BeamConfig(max_states=1)) is None
     assert [r.getMessage() for r in caplog.records] == [
         "beam_parse dropped states past max_states=1: 1 at word position 1"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_beam_matches_tuple_state_reference(seed, caplog):
+    # random small binarized treebanks, unary chains included, with some
+    # trees repeated so that rare moves fall below the thresholds; the
+    # parses and the max_states warnings must equal the tuple-state beam's
+    rng = random.Random(seed)
+
+    def treebank(n):
+        trees = [binarize(random_nary_tree(rng, max_children=3, max_depth=3,
+                                           terminals="ab")) for _ in range(n)]
+        return Corpus([x for x in trees for _ in range(rng.choice((1, 30)))])
+
+    train, heldout = treebank(rng.randint(1, 5)), treebank(rng.randint(1, 3))
+    sentences = [tree_yield(x) for x in list(train)[:2] + list(heldout)[:1]]
+    sentences.append([rng.choice("ab") for _ in range(rng.randint(1, 4))])
+    cfgs = [BeamConfig(threshold=thr, require_observed_pairs=obs, **cut)
+            for thr in (1e-3, 1e-6, 1e-12) for obs in (True, False)
+            for cut in ({"max_states": 1}, {"max_states": 2}, {})]
+    for model in (estimate_joint(train), estimate_conditional(train, heldout)):
+        for cfg in cfgs:
+            for words in sentences:
+                caplog.clear()
+                with caplog.at_level(logging.WARNING):
+                    got = beam_parse(model, words, cfg)
+                    want = beam_parse_reference(model, words, cfg)
+                assert got == want
+                messages = {r.name: r.getMessage() for r in caplog.records}
+                assert len(caplog.records) == len(messages)
+                assert (messages.get("condest.shiftreduce")
+                        == messages.get("oracles"))
+
+
+MOVES = st.builds(Move, st.sampled_from((SHIFT, REDUCE1, REDUCE2)),
+                  st.sampled_from("abXY"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(moves=st.lists(MOVES, max_size=40))
+def test_stack_table_matches_tuple_stacks(moves):
+    stacks = _Stacks()
+    ids = {(): 0}   # tuple stack -> its id
+    stack, sid = (), 0
+    for move in moves:
+        try:
+            want = apply_move(stack, move)
+        except ParserError:
+            with pytest.raises(ParserError, match="too short"):
+                stacks.apply(sid, move)
+            continue
+        stack, sid = want, stacks.apply(sid, move)
+        assert stacks.pair[sid] == stack_top2(stack)
+        assert ids.setdefault(stack, sid) == sid
+    # one id per distinct stack, however it was reached
+    assert len(set(ids.values())) == len(ids)
+    with pytest.raises(ParserError, match="unknown"):
+        stacks.apply(0, Move("swap", "x"))
 
 
 def _fresh_move_probs(model, s1, s2, la):
