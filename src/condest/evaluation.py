@@ -114,6 +114,8 @@ def bootstrap_test(gold, pred_a, pred_b, iterations=10000, seed=0):
     pred_b = list(pred_b)
     if not (len(gold) == len(pred_a) == len(pred_b)):
         raise EvalError("corpora differ in length")
+    if not gold:
+        raise EvalError("empty corpus")
     bootstrap_iterations(iterations)
     n = len(gold)
     stats_a = np.array([sentence_stats(g, p) for g, p in zip(gold, pred_a)],

@@ -8,7 +8,6 @@ heldout data by EM on the weight simplex.
 
 import functools
 import math
-import operator
 from collections import defaultdict
 
 import numpy as np
@@ -191,28 +190,31 @@ def fit_mixture_weights(events, k, max_iters=100, tol=1e-7):
     simplex; ``trace`` is the per-iteration heldout log-likelihood, which
     is non-decreasing.  Buckets with no usable events get uniform weights.
 
-    Each iteration is one update over an (events × k) array, with the
-    events grouped by bucket (buckets in order of first appearance, events
-    in input order).  Every sum adds its terms one at a time in that
-    order, so the results are bit for bit those of a plain loop over each
-    bucket's events.
+    Each iteration is one update over the distinct (bucket, probs) rows,
+    whose logs and ratios are then gathered to the events, grouped by
+    bucket (buckets in order of first appearance, events in input order).
+    Every sum adds its terms one at a time in that order, so the results
+    are bit for bit those of a plain loop over each bucket's events.
     """
-    buckets, ids, rows = {}, [], []
+    buckets, rows, ev = {}, {}, []
     for bucket, probs in events:
         if any(p > 0.0 for p in probs):
-            ids.append(buckets.setdefault(bucket, len(buckets)))
-            rows.append(probs)
-    ids = np.array(ids, dtype=np.intp)
-    order = np.argsort(ids, kind="stable")
-    bid = ids[order]
-    probs = np.array(rows, dtype=float).reshape(-1, k)[order]
+            buckets.setdefault(bucket, len(buckets))
+            ev.append(rows.setdefault((bucket, probs), len(rows)))
+    rid = np.array([buckets[b] for b, _p in rows], dtype=np.intp)
+    probs = np.array([p for _b, p in rows], dtype=float).reshape(-1, k)
+    ev = np.array(ev, dtype=np.intp)
+    ev = ev[np.argsort(rid[ev], kind="stable")]
+    bid = rid[ev]
     lam = np.full((len(buckets), k), 1.0 / k)
     trace = []
     for _ in range(max_iters):
-        terms = lam[bid] * probs
+        terms = lam[rid] * probs
         mix = sum(terms.T)
-        ll = functools.reduce(operator.add, map(math.log, mix.tolist()), 0.0)
-        acc = np.stack([np.bincount(bid, t / mix, len(buckets))
+        logs = np.fromiter(map(math.log, mix.tolist()), float, len(mix))
+        # cumsum adds left to right, as a loop does; np.sum adds pairwise
+        ll = float(np.cumsum(logs[ev])[-1]) if len(ev) else 0.0
+        acc = np.stack([np.bincount(bid, (t / mix)[ev], len(buckets))
                         for t in terms.T], axis=1)
         tot = sum(acc.T)
         lam = np.full_like(lam, 1.0 / k)

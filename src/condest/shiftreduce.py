@@ -45,28 +45,17 @@ reduce1 = functools.partial(Move, REDUCE1)
 reduce2 = functools.partial(Move, REDUCE2)
 
 
-def stack_top2(stack):
-    """(s1, s2): top and next-to-top labels, STAR when absent."""
-    s1 = stack[-1] if len(stack) >= 1 else STAR
-    s2 = stack[-2] if len(stack) >= 2 else STAR
-    return s1, s2
-
-
-def _cut(stack, move):
-    """Where a move cuts a tuple stack: the items from ``cut`` on are popped
-    (they become the children of the pushed label), the rest stay."""
+def _cut(stack, move, floor=0):
+    """Where a move cuts a stack: the items from ``cut`` on are popped
+    (they become the children of the pushed label), the rest stay.  The
+    ``floor`` items at the bottom are sentinels, never popped."""
     arity = ARITY.get(move.kind)
     if arity is None:
         raise ParserError("unknown move kind %r" % (move.kind,))
     cut = len(stack) - arity
-    if cut < 0:
+    if cut < floor:
         raise ParserError("stack too short for %s" % (move.kind,))
     return cut
-
-
-def apply_move(stack, move):
-    """Moves are partial functions from stacks to stacks (label tuples)."""
-    return stack[:_cut(stack, move)] + (move.label,)
 
 
 def oracle_moves(t):
@@ -198,10 +187,9 @@ def replay(moves, words):
     """(s1, s2, lookahead, move) along a move sequence over ``words``; every
     shift must match the input, and the moves must consume all of it."""
     sentence = list(words) + [STAR]
-    stack = ()
+    stack = [STAR, STAR]   # two sentinels below the labels: (s1, s2) on top
     shifted = 0
     for move in moves:
-        s1, s2 = stack_top2(stack)
         lookahead = sentence[shifted] if shifted < len(sentence) else None
         if move.kind == SHIFT:
             if move.label != lookahead:
@@ -209,8 +197,9 @@ def replay(moves, words):
                     "shift %r does not match input at position %d"
                     % (move.label, shifted))
             shifted += 1
-        yield s1, s2, lookahead, move
-        stack = apply_move(stack, move)
+        yield stack[-1], stack[-2], lookahead, move
+        del stack[_cut(stack, move, 2):]
+        stack.append(move.label)
     if shifted != len(sentence):
         raise ParserError("move sequence did not consume the input")
 
@@ -275,10 +264,10 @@ class _Stacks:
     def __init__(self):
         self.ids = {}                  # (id below, top label) -> id
         self.down = [(0, None, None)]  # id -> ids after popping 0, 1, 2 labels
-        self.pair = [(STAR, STAR)]     # id -> (s1, s2), as stack_top2 gives
+        self.pair = [(STAR, STAR)]     # id -> (s1, s2), STAR where absent
 
     def apply(self, sid, move):
-        """The id of ``apply_move`` of the stack ``sid``."""
+        """The id of the stack ``sid`` after ``move``."""
         arity = ARITY.get(move.kind)
         if arity is None:
             raise ParserError("unknown move kind %r" % (move.kind,))

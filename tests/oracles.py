@@ -17,9 +17,8 @@ import numpy as np
 from condest.hmm import END, UNK, UNK_THRESHOLD, TaggingError
 from condest.interp import InterpolatedCondDist, bucket_id
 from condest.pcfg import Pcfg, Production, tree_productions
-from condest.shiftreduce import (SHIFT, STAR, BeamConfig, ParserError,
-                                 apply_move, shift, stack_top2,
-                                 tree_from_moves)
+from condest.shiftreduce import (ARITY, SHIFT, STAR, BeamConfig, ParserError,
+                                 shift, tree_from_moves)
 from condest.trees import Tree
 
 
@@ -459,6 +458,48 @@ def brute_tag_decode(model, words):
                 best_t, best_p = t, p
         out.append(best_t)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Shift-reduce: label stacks as tuples, and the oracle replay over them,
+# kept as the reference for the list stack of ``shiftreduce.replay``.
+
+def stack_top2(stack):
+    """(s1, s2): top and next-to-top labels, STAR when absent."""
+    s1 = stack[-1] if len(stack) >= 1 else STAR
+    s2 = stack[-2] if len(stack) >= 2 else STAR
+    return s1, s2
+
+
+def apply_move(stack, move):
+    """Moves are partial functions from stacks to stacks (label tuples)."""
+    arity = ARITY.get(move.kind)
+    if arity is None:
+        raise ParserError("unknown move kind %r" % (move.kind,))
+    if len(stack) < arity:
+        raise ParserError("stack too short for %s" % (move.kind,))
+    return stack[:len(stack) - arity] + (move.label,)
+
+
+def replay_reference(moves, words):
+    """(s1, s2, lookahead, move) along a move sequence over ``words``; every
+    shift must match the input, and the moves must consume all of it."""
+    sentence = list(words) + [STAR]
+    stack = ()
+    shifted = 0
+    for move in moves:
+        s1, s2 = stack_top2(stack)
+        lookahead = sentence[shifted] if shifted < len(sentence) else None
+        if move.kind == SHIFT:
+            if move.label != lookahead:
+                raise ParserError(
+                    "shift %r does not match input at position %d"
+                    % (move.label, shifted))
+            shifted += 1
+        yield s1, s2, lookahead, move
+        stack = apply_move(stack, move)
+    if shifted != len(sentence):
+        raise ParserError("move sequence did not consume the input")
 
 
 # ---------------------------------------------------------------------------

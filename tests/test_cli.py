@@ -322,6 +322,13 @@ def test_pcfg_round_trip(data_dir, tmp_path, capsys):
     assert "p_value" in capsys.readouterr().out
 
 
+def test_bootstrap_on_empty_corpora(tmp_path, capsys):
+    empty = _write(tmp_path / "empty.mrg", "")
+    assert cli.main(["bootstrap", "--gold", empty, "--a", empty,
+                     "--b", empty]) == 1
+    assert capsys.readouterr().err == "error: empty corpus\n"
+
+
 def test_train_pcfg_mcle_mode(data_dir, tmp_path):
     gram = str(tmp_path / "mcle.gram")
     assert cli.main(["train-pcfg", "--train",

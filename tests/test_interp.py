@@ -2,9 +2,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from condest import toydata
+from condest.hmm import collect_tables, fit_deleted_interpolation
 from condest.interp import (CondTable, InterpolatedCondDist, bucket_id,
                             fit_interpolation, fit_mixture_weights)
-from oracles import DictCondTable, fit_mixture_weights_loop
+from condest.shiftreduce import estimate_conditional, oracle_moves
+from condest.trees import Corpus, binarize, tree_yield
+from oracles import (DictCondTable, collect_tables_loop,
+                     fit_mixture_weights_loop, fit_tagger_mixture_loop,
+                     replay_reference)
 
 
 def test_bucket_id():
@@ -202,8 +208,17 @@ def _em_inputs(draw):
     k = draw(st.sampled_from((2, 3)))
     n_buckets = draw(st.sampled_from((1, 2, 7)))
     prob = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
-    events = draw(st.lists(st.tuples(st.integers(0, n_buckets - 1),
-                                     st.tuples(*[prob] * k)), max_size=40))
+    row = st.tuples(st.integers(0, n_buckets - 1), st.tuples(*[prob] * k))
+    min_size = draw(st.sampled_from((0, 10)))
+    if min_size:
+        # events drawn from a small pool of rows, so most of them repeat;
+        # a subnormal probability can underflow its mixture to zero
+        tiny = st.sampled_from((5e-324, 1e-320, 0.5))
+        row = st.sampled_from(draw(st.lists(
+            st.tuples(st.integers(0, n_buckets - 1),
+                      st.tuples(*[st.one_of(prob, tiny)] * k)),
+            min_size=1, max_size=4)))
+    events = draw(st.lists(row, min_size=min_size, max_size=40))
     max_iters, tol = draw(st.sampled_from(((1, 1e-7), (3, 0.0), (100, 1e-7),
                                            (100, 1e-12))))
     return events, k, max_iters, tol
@@ -230,3 +245,48 @@ def test_mixture_weights_match_loop_cases(events, k, max_iters, tol, iters):
         assert 2 <= len(got[1]) < max_iters
     else:
         assert len(got[1]) == iters
+
+
+def _last_gain(trace):
+    """The last iteration's gain, relative as the stopping rule takes it."""
+    return (trace[-1] - trace[-2]) / (abs(trace[-2]) + 1.0)
+
+
+def test_bundled_fits_stop_where_they_do_today():
+    """Where the EM stops on the bundled corpora: both tagger mixtures run
+    into the 100-iteration cap with their last gain far above the default
+    ``tol`` of 1e-7, and the shift-reduce mixture stops by that tolerance
+    at 93.  Each fit is the plain-loop reference's, bit for bit."""
+    train, heldout, _test = toydata.hmm_corpora()
+    tables = collect_tables(train)
+    word_counts, ref = collect_tables_loop(train)
+    for target, gain in (("pr0", 7.34e-6), ("pr1", 3.38e-6)):
+        mix = fit_deleted_interpolation(tables, heldout, target)
+        assert len(mix.trace) == 100
+        assert _last_gain(mix.trace) == pytest.approx(gain, rel=1e-2)
+        lambdas, trace = fit_tagger_mixture_loop(word_counts, ref, heldout,
+                                                 target)
+        assert (list(mix.lambdas.items()), mix.trace) == \
+            (list(lambdas.items()), trace)
+
+    train, heldout, _test = toydata.sr_corpora()
+    train = Corpus([binarize(x) for x in train])
+    heldout = Corpus([binarize(x) for x in heldout])
+    mix = estimate_conditional(train, heldout).cond_mixture
+    assert len(mix.trace) == 93
+    assert _last_gain(mix.trace) < 1e-7
+
+    def events(trees):
+        return [e for tree in trees
+                for e in replay_reference(oracle_moves(tree), tree_yield(tree))]
+
+    coarse, full = DictCondTable(), DictCondTable()
+    for s1, s2, la, move in events(train):
+        coarse.add((s1, s2), move)
+        full.add((s1, s2, la), move)
+    lambdas, trace = fit_mixture_weights_loop(
+        [(bucket_id(full.total((s1, s2, la))),
+          (coarse.prob((s1, s2), move), full.prob((s1, s2, la), move)))
+         for s1, s2, la, move in events(heldout)], 2)
+    assert (list(mix.lambdas.items()), mix.trace) == \
+        (list(lambdas.items()), trace)

@@ -3,20 +3,21 @@ import math
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from condest import toydata
 from condest.shiftreduce import (REDUCE1, REDUCE2, SHIFT, STAR, BeamConfig,
-                                 Move, ParserError, _Stacks, apply_move,
-                                 beam_parse, estimate_conditional,
-                                 estimate_joint, load_sr, oracle_moves,
+                                 Move, ParserError, _Stacks, beam_parse,
+                                 estimate_conditional, estimate_joint,
+                                 load_sr, oracle_events, oracle_moves,
                                  parse_corpus, parse_log_prob, reduce1,
-                                 reduce2, save_sr, shift, stack_top2,
+                                 reduce2, replay, save_sr, shift,
                                  tree_from_moves)
 from condest.trees import Corpus, binarize, parse_trees, tree_yield
-from oracles import (beam_parse_reference, brute_sr_best, enumerate_sr_parses,
-                     random_binary_tree, random_nary_tree)
+from oracles import (apply_move, beam_parse_reference, brute_sr_best,
+                     enumerate_sr_parses, random_binary_tree,
+                     random_nary_tree, replay_reference, stack_top2)
 
 
 def t(s):
@@ -304,6 +305,66 @@ def test_stack_table_matches_tuple_stacks(moves):
     assert len(set(ids.values())) == len(ids)
     with pytest.raises(ParserError, match="unknown"):
         stacks.apply(0, Move("swap", "x"))
+
+
+def _replayed(replay_fn, moves, words):
+    """The events a replay yields, then the error it raises (or None)."""
+    events = []
+    try:
+        for event in replay_fn(moves, words):
+            events.append(event)
+    except ParserError as e:
+        return events, str(e)
+    return events, None
+
+
+ANY_MOVES = st.lists(st.builds(Move, st.sampled_from((SHIFT, REDUCE1, REDUCE2,
+                                                      "swap")),
+                               st.sampled_from(("a", "b", "X", STAR))),
+                     max_size=8)
+
+
+@st.composite
+def _move_sequences(draw):
+    """(moves, words): a random sequence, or an oracle parse of ``words``
+    cut short and followed by random moves (moves past the end included)."""
+    words = draw(st.lists(st.sampled_from("ab"), max_size=5))
+    if not words or draw(st.booleans()):
+        return draw(ANY_MOVES), words
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    moves = oracle_moves(random_binary_tree(rng, words))
+    cut = len(moves) if draw(st.booleans()) else \
+        draw(st.integers(0, len(moves)))
+    return moves[:cut] + draw(ANY_MOVES), words
+
+
+PARSE = oracle_moves(t("(S (A a) (B b))"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_move_sequences())
+@example(case=(PARSE, ["a", "b"]))                          # a valid parse
+@example(case=([shift("a"), reduce2("S")], ["a"]))          # stack too short
+@example(case=([Move("swap", "a")], ["a"]))                 # unknown kind
+@example(case=([shift("b")], ["a"]))                        # mismatched shift
+@example(case=(PARSE[:-1], ["a", "b"]))                     # input left over
+@example(case=(PARSE + [reduce1("X"), shift("a")], ["a", "b"]))  # past end
+def test_replay_matches_tuple_stack_reference(case):
+    """The list-stack replay yields the tuple-stack replay's events and
+    raises its error, with the same message, at the same point."""
+    moves, words = case
+    assert _replayed(replay, moves, words) == \
+        _replayed(replay_reference, moves, words)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4))
+def test_oracle_events_match_reference(seed, n):
+    rng = random.Random(seed)
+    trees = [binarize(random_nary_tree(rng)) for _ in range(n)]
+    want = [e for tree in trees
+            for e in replay_reference(oracle_moves(tree), tree_yield(tree))]
+    assert list(oracle_events(trees)) == want
 
 
 def _fresh_move_probs(model, s1, s2, la):
