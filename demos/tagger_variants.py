@@ -34,6 +34,6 @@ print()
 model = TaggerModel.train("conditional", train, heldout)
 print("fitted interpolation weights (bucket -> lambda_word, lambda_tag,")
 print("lambda_full), buckets by log2 of the full-context count:")
-for b in sorted(model.pr0.lambdas):
+for b in sorted(model.mixture.lambdas):
     print("  %2d -> %s" % (b, " ".join("%.3f" % l
-                                       for l in model.pr0.lambdas[b])))
+                                       for l in model.mixture.lambdas[b])))

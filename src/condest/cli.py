@@ -126,7 +126,8 @@ def _corpus(*extra):
 # default).  Each pipeline's own keys are declared with it in PIPELINES.
 EXPERIMENT_KEYS = {"pipeline": (_pipeline_name, REQUIRED),
                    "output_dir": (str, REQUIRED),
-                   "seed": (int, 0)}
+                   "seed": (lambda text: evaluation.bootstrap_seed(int(text)),
+                            0)}
 
 
 def load_config(path):
@@ -370,6 +371,8 @@ def _cmd_parse(args):
 
 
 def _cmd_train_tagger(args):
+    if hmm.VARIANT_FACTORS[args.variant][0] and not args.heldout:
+        raise ConfigError("--variant %s requires --heldout" % args.variant)
     train = _read_tagged(args.train)
     heldout = _read_tagged(args.heldout) if args.heldout else None
     model = hmm.TaggerModel.train(args.variant, train, heldout)
@@ -462,8 +465,11 @@ def build_parser():
     # An option whose default is SUPPRESS keeps, when left out, the default
     # of the function or dataclass it is passed to (_given).  An option that
     # sets a config key's value is checked by the key's converter.
-    key = {k: _flag(convert) for _run, sections in PIPELINES.values()
-           for keys in sections.values() for k, (convert, _) in keys.items()}
+    declared = [EXPERIMENT_KEYS] + [keys for _run, sections in
+                                    PIPELINES.values()
+                                    for keys in sections.values()]
+    key = {k: _flag(convert) for keys in declared
+           for k, (convert, _) in keys.items()}
     sp = command("train-pcfg", _cmd_train_pcfg, "--train", "-o --output")
     sp.add_argument("--mode", choices=("mle", "mcle"), default="mle")
     sp.add_argument("--max-iters", type=key["max_iters"],
@@ -487,12 +493,12 @@ def build_parser():
     sp = command("bootstrap", _cmd_bootstrap, "--gold", "--a", "--b")
     sp.add_argument("--iterations", type=key["iterations"],
                     default=argparse.SUPPRESS)
-    sp.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    sp.add_argument("--seed", type=key["seed"], default=argparse.SUPPRESS)
     sp = command("experiment", _cmd_experiment)
     sp.add_argument("config")
     sp.add_argument("--validate", action="store_true")
     sp.add_argument("--output-dir", default=argparse.SUPPRESS)
-    sp.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    sp.add_argument("--seed", type=key["seed"], default=argparse.SUPPRESS)
     return p
 
 

@@ -102,6 +102,13 @@ def bootstrap_iterations(iterations):
     return iterations
 
 
+def bootstrap_seed(seed):
+    """``seed`` if it is a usable bootstrap seed."""
+    if seed < 0:
+        raise EvalError("seed must be >= 0")
+    return seed
+
+
 def bootstrap_test(gold, pred_a, pred_b, iterations=10000, seed=0):
     """Bootstrap test of the F-score difference F(A) - F(B).
 
@@ -117,6 +124,7 @@ def bootstrap_test(gold, pred_a, pred_b, iterations=10000, seed=0):
     if not gold:
         raise EvalError("empty corpus")
     bootstrap_iterations(iterations)
+    bootstrap_seed(seed)
     n = len(gold)
     stats_a = np.array([sentence_stats(g, p) for g, p in zip(gold, pred_a)],
                        dtype=float)

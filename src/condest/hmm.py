@@ -11,7 +11,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -21,11 +21,6 @@ from .interp import CondTable, InterpolatedCondDist, fit_interpolation
 END = "<end>"
 UNK = "<unk>"
 UNK_THRESHOLD = 2  # words with training count below this are mapped to UNK
-
-# Each variant and the deleted-interpolation mixtures its edge factor uses.
-VARIANT_MIXTURES = {"joint": (), "conditional": ("pr0",),
-                    "joint-prevword": ("pr1",), "joint-nextemit": ("pr0",)}
-VARIANTS = tuple(VARIANT_MIXTURES)
 
 # Every count table, declared once as (context fields, outcome field) of a
 # position j: the fields are indices into (W_{j-1}, T_{j-1}, W_j, T_j).
@@ -44,6 +39,14 @@ TABLES = {
 # mixture's full context.  pr0 keys on the current word, pr1 the previous.
 MIXTURES = {"pr0": ("tag_given_word", "trans", "full0"),
             "pr1": ("tag_given_prevword", "trans", "full1")}
+
+# Each variant's position factor as (mixture, emission table): the mixture,
+# or without one the transition table, times the emission, if any.
+VARIANT_FACTORS = {"joint": (None, "emit"),
+                   "conditional": ("pr0", None),
+                   "joint-prevword": ("pr1", "emit"),
+                   "joint-nextemit": ("pr0", "emit_prev")}
+VARIANTS = tuple(VARIANT_FACTORS)
 
 
 class TaggingError(ValueError):
@@ -106,10 +109,15 @@ class EmpiricalTables:
 
     @functools.cached_property
     def words(self):
-        """Word ids: END (0), UNK, each word map_word keeps, and None last,
-        which stands for any other word."""
+        """Word ids: END (0), UNK, then each word map_word keeps."""
         return {w: i for i, w in enumerate(dict.fromkeys(
-            [END, UNK, *map(self.map_word, self.word_counts), None]))}
+            [END, UNK, *map(self.map_word, self.word_counts)]))}
+
+    def word_ids(self, ws):
+        """The id of each word, raw or UNK-mapped: any other word reads as
+        UNK, as map_word maps it."""
+        unk = repeat(self.words[UNK], len(ws))
+        return np.fromiter(map(self.words.get, ws, unk), np.intp, len(ws))
 
     def components(self, target):
         """The ``target`` mixture's components over these tables, each
@@ -160,14 +168,13 @@ def collect_tables(train):
     words = list(chain.from_iterable(w for w, _t in train))
     tags = list(chain.from_iterable(t for _w, t in train))
     tables = EmpiricalTables({w: float(c) for w, c in Counter(words).items()})
-    word_id = {w: tables.words[tables.map_word(w)] for w in tables.word_counts}
     tag_id = {t: i for i, t in enumerate(dict.fromkeys([END, *tags]))}
     # token slots in the walk, the END of each sentence before it (END is
     # id 0 of both columns)
     slots = np.arange(len(words)) + np.repeat(
         np.arange(1, len(train) + 1), [len(w) for w, _t in train])
     ws, ts = np.zeros((2, len(words) + len(train) + 1), dtype=np.int64)
-    ws[slots] = np.fromiter(map(word_id.get, words), np.int64, len(words))
+    ws[slots] = tables.word_ids(words)
     ts[slots] = np.fromiter(map(tag_id.get, tags), np.int64, len(tags))
     positions = ws[:-1], ts[:-1], ws[1:], ts[1:]
     names = [np.array(list(ids), dtype=object)
@@ -199,29 +206,28 @@ def fit_deleted_interpolation(tables, heldout, target="pr0"):
 
 
 class TaggerModel:
-    """One of the four chain tagging models over a shared table set."""
+    """One of the four chain tagging models over a shared table set, with
+    the fitted mixture its variant reads (VARIANT_FACTORS)."""
 
-    def __init__(self, variant, tables, pr0=None, pr1=None):
+    def __init__(self, variant, tables, mixture=None):
         if variant not in VARIANTS:
             raise ValueError("unknown variant %r" % (variant,))
+        target = VARIANT_FACTORS[variant][0]
+        if (mixture is None) != (target is None):
+            raise ValueError("variant %r reads mixture %s" % (variant, target))
         self.variant = variant
         self.tables = tables
-        self.pr0 = pr0
-        self.pr1 = pr1
-        for target in VARIANT_MIXTURES[variant]:
-            if getattr(self, target) is None:
-                raise ValueError("variant %r needs the %s mixture"
-                                 % (variant, target))
+        self.mixture = mixture
         self._compile()
 
     @classmethod
     def train(cls, variant, train, heldout=None):
         tables = collect_tables(train)
-        needs = VARIANT_MIXTURES.get(variant, ())
-        if needs and heldout is None:
+        target = VARIANT_FACTORS.get(variant, (None,))[0]
+        if target and heldout is None:
             raise TaggingError("variant %r needs heldout data" % (variant,))
-        return cls(variant, tables, **{
-            t: fit_deleted_interpolation(tables, heldout, t) for t in needs})
+        return cls(variant, tables, target and fit_deleted_interpolation(
+            tables, heldout, target))
 
     def _compile(self):
         """The arrays the lattice reads: rows and columns are the tagset,
@@ -230,32 +236,38 @@ class TaggerModel:
         syms = tb.tagset + (END,)
         self._index = index = {s: i for i, s in enumerate(syms)}
         self._trans = tb.trans.matrix([(s,) for s in syms], index)
-        # P(w | s) over (s, word), from the emission table the variant reads
-        emit = "emit_prev" if self.variant == "joint-nextemit" else "emit"
-        self._emit = getattr(tb, emit).matrix([(s,) for s in syms], words)
-        mix = next((getattr(self, t) for t in VARIANT_MIXTURES[self.variant]),
-                   None)
-        if mix is not None:
-            # P(t | word) over (word, t); P(t | word, tprev) over (the
-            # finest table's row, t); each row's weights; and the row of
-            # each (word, tprev), the empty row if unseen
-            (by_word, _), _, (full, _) = mix.components
+        target, emission = VARIANT_FACTORS[self.variant]
+        self._emit = self._mix = None
+        if emission is not None:
+            # P(w | s) over (word, tprev, t), s the tag the table reads
+            self._emit = np.expand_dims(np.ascontiguousarray(getattr(
+                tb, emission).matrix([(s,) for s in syms], words).T),
+                1 if TABLES[emission][0] == (T,) else 2)
+        if target is not None:
+            # the field of the word the mixture reads (W or WP); P(t | word)
+            # over (word, t); P(t | word, tprev) over (the finest table's
+            # row, t); each row's weights; and the row of each
+            # (word, tprev), the empty row if unseen
+            (by_word, _), _, (full, _) = self.mixture.components
             ctxs = list(full.contexts())
             at = np.array([(words.get(w, -1), index.get(s, -1))
                            for w, s in ctxs], dtype=np.intp).reshape(-1, 2)
             seen = (at >= 0).all(axis=1)
             row_of = np.full((len(words), len(syms)), len(ctxs))
             row_of[at[seen, 0], at[seen, 1]] = np.flatnonzero(seen)
-            self._mix = (by_word.matrix([(w,) for w in words], index), row_of,
+            self._mix = (TABLES[MIXTURES[target][0]][0][0],
+                         by_word.matrix([(w,) for w in words], index), row_of,
                          full.matrix(None, index),
-                         mix.count_weights(full.row_totals()))
+                         self.mixture.count_weights(full.row_totals()))
 
-    def _mixture(self, word):
-        """mix.prob((word[p], tprev), t) over (p, tprev, t) for word ids:
-        P(t|word), P(t|tprev) and P(t|word,tprev) (MIXTURES), weighted by
-        the bucket of the full context's count, added in the order
+    def _mixture(self, ids):
+        """mix.prob((word[p], tprev), t) over (p, tprev, t), ``word`` the
+        ids of the field the mixture reads (``ids``: field -> word ids):
+        P(t|word), P(t|tprev) and P(t|word,tprev), weighted by the bucket
+        of the full context's count, added in the order
         InterpolatedCondDist.prob adds."""
-        by_word, row_of, full, weights = self._mix
+        field, by_word, row_of, full, weights = self._mix
+        word = ids[field]
         rows = row_of[word]
         lam = weights[rows]
         return (lam[..., 0:1] * by_word[word][:, None, :]
@@ -263,25 +275,12 @@ class TaggerModel:
                 + lam[..., 2:3] * full[rows])
 
     def edge_weight(self, wprev, w):
-        """Factor of the position reading w after wprev (both already
-        UNK-mapped) for every transition tprev -> t, as one array over
-        (tprev, t): rows and columns are the tagset, then END.  Given two
-        equal-length sequences of words (a sentence's positions), the
-        arrays of all positions at once, over (position, tprev, t)."""
-        one, other = isinstance(w, str), self.tables.words[None]
-        wp, w = (np.array([self.tables.words.get(x, other)
-                           for x in ([ws] if one else ws)], dtype=np.intp)
-                 for ws in (wprev, w))
-        emit = self._emit[:, w].T   # P(w | s) over (p, s)
-        if self.variant == "joint":
-            out = self._trans * emit[:, None, :]
-        elif self.variant == "conditional":
-            out = self._mixture(w)
-        elif self.variant == "joint-prevword":
-            out = emit[:, None, :] * self._mixture(wp)
-        else:
-            out = self._mixture(w) * emit[:, :, None]
-        return out[0] if one else out
+        """Factors of a sentence's positions, word ``w[p]`` after
+        ``wprev[p]`` (raw or UNK-mapped), for every transition tprev -> t:
+        one array over (position, tprev, t), tags then END."""
+        ids = {WP: self.tables.word_ids(wprev), W: self.tables.word_ids(w)}
+        base = self._trans if self._mix is None else self._mixture(ids)
+        return base if self._emit is None else base * self._emit[ids[W]]
 
     def sequence_log_prob(self, words, tags):
         if len(words) != len(tags):
@@ -310,7 +309,7 @@ class TaggerModel:
         if not words:
             raise TaggingError("empty sentence")
         n, m = len(self.tables.tagset), len(words)
-        ws = [END] + [self.tables.map_word(w) for w in words] + [END]
+        ws = [END, *words, END]
         weights = self.edge_weight(ws[:-1], ws[1:])
         first, mats, final = (np.ascontiguousarray(b) for b in (
             weights[0, n, :n], weights[1:m, :n, :n], weights[m, :n, n]))
@@ -417,8 +416,8 @@ def save_tagger(model, path):
     sections += [("table:" + name, modelfile.table_rows(getattr(tb, name)))
                  for name in TABLES]
     for target in MIXTURES:
-        mix = getattr(model, target)
-        lambdas = mix.lambdas if mix is not None else {}
+        lambdas = (model.mixture.lambdas
+                   if target == VARIANT_FACTORS[model.variant][0] else {})
         sections.append(("lambdas:" + target,
                          [(b,) + lambdas[b] for b in sorted(lambdas)]))
     modelfile.write(path, sections)
@@ -432,7 +431,7 @@ def load_tagger(path):
     if not tables.tagset:
         raise TaggingError("%s: [table:trans] has no tags" % path)
     variant = f["meta"]["variant"]
-    return TaggerModel(variant, tables, **{
-        t: InterpolatedCondDist(tables.components(t), {
-            b: tuple(ls) for b, *ls in f["lambdas:" + t]})
-        for t in VARIANT_MIXTURES[variant]})
+    target = VARIANT_FACTORS[variant][0]
+    return TaggerModel(variant, tables, target and InterpolatedCondDist(
+        tables.components(target),
+        {b: tuple(ls) for b, *ls in f["lambdas:" + target]}))

@@ -130,7 +130,7 @@ def extract_counts(corpus):
         for r, c in tree_productions(t).items():
             counts[r] += c
     labels = {r.lhs for r in counts}
-    for sid, t in zip(corpus.ids, trees):
+    for sid, t in enumerate(trees):
         clash = sorted(labels.intersection(tree_yield(t)))
         if clash:
             raise EstimationError("tree %r: leaf %r is also a nonterminal "
@@ -356,7 +356,7 @@ def corpus_stats(g, corpus):
     yield; the sums still take the sentences in corpus order."""
     tlp_sum = marg_sum = 0.0
     expected, by_yield = defaultdict(float), {}
-    for sid, t in zip(corpus.ids, corpus):
+    for sid, t in enumerate(corpus):
         tlp = tree_log_prob(g, t)
         if tlp == NEG_INF:
             raise EstimationError(

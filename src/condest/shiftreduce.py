@@ -104,9 +104,6 @@ class BeamConfig:
             raise ValueError("threshold must be in (0, 1]")
 
 
-FLAVORS = ("joint", "conditional")
-
-
 def _cond_components(joint_table, full_table):
     """The conditional flavor's mixture of P(m|s1,s2) and P(m|s1,s2,w).
     Finest component last: bucketing keys off the (s1, s2, w) count."""
@@ -114,25 +111,16 @@ def _cond_components(joint_table, full_table):
 
 
 class MoveModel:
-    """Move distribution with structural zeros, joint or conditional.  The
-    observed (s1, s2) pairs, terminals and nonterminals are the joint
-    table's contexts, shift labels and reduce labels."""
+    """Move distribution with structural zeros: conditional with the
+    mixture, joint without.  The observed (s1, s2) pairs are the joint
+    table's contexts."""
 
-    def __init__(self, flavor, start, joint_table, cond_mixture=None):
-        if flavor not in FLAVORS:
-            raise ValueError("flavor must be 'joint' or 'conditional'")
-        if flavor == "conditional" and cond_mixture is None:
-            raise ValueError("conditional flavor needs its mixture")
-        self.flavor = flavor
+    def __init__(self, start, joint_table, cond_mixture=None):
+        self.flavor = "joint" if cond_mixture is None else "conditional"
         self.start = start
         self.joint_table = joint_table          # P(m | s1, s2)
         self.cond_mixture = cond_mixture        # mixes P(m|s1,s2,w), P(m|s1,s2)
         self.observed_pairs = frozenset(joint_table.contexts())
-        moves = {m for _ctx, m, _c in joint_table.items()}
-        self.terminals = frozenset(m.label for m in moves
-                                   if m.kind == SHIFT and m.label != STAR)
-        self.nonterminals = frozenset(m.label for m in moves
-                                      if m.kind != SHIFT)
         self._views = {}   # context -> move_view, filled on first query
 
     def allowed(self, move, s1, s2, lookahead=None):
@@ -217,7 +205,7 @@ def estimate_joint(train):
         raise ParserError("empty training corpus")
     table = CondTable(((s1, s2), move)
                       for s1, s2, _la, move in oracle_events(trees))
-    return MoveModel("joint", trees[0].label, table)
+    return MoveModel(trees[0].label, table)
 
 
 def estimate_conditional(train, heldout):
@@ -233,8 +221,7 @@ def estimate_conditional(train, heldout):
     mixture = fit_interpolation(
         _cond_components(coarse, full),
         (((s1, s2, la), move) for s1, s2, la, move in oracle_events(held)))
-    return MoveModel("conditional", trees[0].label, coarse,
-                     cond_mixture=mixture)
+    return MoveModel(trees[0].label, coarse, mixture)
 
 
 def parse_log_prob(model, moves, words):
@@ -399,7 +386,7 @@ def _read_move(text):
 
 
 SR_SCHEMA = {
-    "meta": {"flavor": modelfile.one_of(*FLAVORS), "start": str},
+    "meta": {"flavor": modelfile.one_of("joint", "conditional"), "start": str},
     "joint": (str, _read_move, modelfile.number),  # s1 s2, move, count
     "full": (str, _read_move, modelfile.number),   # s1 s2 w, move, count
     "lambdas": (int, modelfile.number, modelfile.number),  # bucket, weights
@@ -426,5 +413,4 @@ def load_sr(path):
         full = modelfile.fill_table(f["full"])
         mixture = InterpolatedCondDist(_cond_components(joint, full), {
             b: tuple(ls) for b, *ls in f["lambdas"]})
-    return MoveModel(f["meta"]["flavor"], f["meta"]["start"], joint,
-                     cond_mixture=mixture)
+    return MoveModel(f["meta"]["start"], joint, mixture)

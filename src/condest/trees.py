@@ -7,7 +7,7 @@ package the terminals are the preterminal (POS) labels left behind by
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MARKER = "^"   # marks the nodes binarize introduces
 
@@ -106,26 +106,14 @@ def parse_trees(text):
 
 @dataclass
 class Corpus:
-    """A sequence of trees with per-tree identifiers."""
+    """A sequence of trees."""
     trees: list
-    ids: list = field(default=None)
-
-    def __post_init__(self):
-        if self.ids is None:
-            self.ids = list(range(len(self.trees)))
-        if len(self.ids) != len(self.trees):
-            raise TreebankError("ids/trees length mismatch")
 
     def __len__(self):
         return len(self.trees)
 
     def __iter__(self):
         return iter(self.trees)
-
-    def __eq__(self, other):
-        if not isinstance(other, Corpus):
-            return NotImplemented
-        return self.trees == other.trees
 
 
 def read_bracketed(text):

@@ -369,7 +369,7 @@ class ReferenceTagger:
             target: InterpolatedCondDist(
                 [(tables[name], idx) for name, idx in comps], mix.lambdas)
             for target, comps in REFERENCE_MIXTURES.items()
-            for mix in [getattr(model, target)] if mix is not None}
+            for mix in [model.mixture] if mix is not None}
 
     def _given_tag(self, name, w):
         return np.array([[self.tables[name].prob((s,), w)]

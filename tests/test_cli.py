@@ -167,12 +167,15 @@ def test_missing_head_rules_exits_2(data_dir, tmp_path, capsys):
      "bootstrap.iterations: iterations must be >= 1"),
     ("sr-joint-vs-cond", "[treebank]\nhead_rules = RULES\n",
      "treebank.head_rules: head-rules line 1: missing ':'"),
-], ids=["empty-thresholds", "zero-iterations", "malformed-head-rules"])
+    ("pcfg-mle-vs-mcle", "[experiment]\nseed = -1\n",
+     "experiment.seed: seed must be >= 0"),
+], ids=["empty-thresholds", "zero-iterations", "malformed-head-rules",
+        "negative-seed"])
 def test_values_a_run_would_refuse_exit_2(data_dir, tmp_path, capsys,
                                           pipeline, extra, diagnostic):
-    """An empty threshold list, no bootstrap iterations and a malformed
-    head-rules file fail --validate, and the run, with exit 2 and a
-    message naming the key."""
+    """An empty threshold list, no bootstrap iterations, a malformed
+    head-rules file and a negative seed fail --validate, and the run, with
+    exit 2 and a message naming the key."""
     rules = _write(tmp_path / "rules.txt", "S left NP\n")
     cfg = _write(tmp_path / "c.cfg", _config(
         pipeline, data_dir, tmp_path / "out", extra.replace("RULES", rules)))
@@ -194,8 +197,11 @@ def test_values_a_run_would_refuse_exit_2(data_dir, tmp_path, capsys,
      "head-rules line 1: missing ':'"),
     ("train-sr --head-rules MISSING", "--head-rules",
      "path does not exist: MISSING"),
+    ("bootstrap --seed -1", "--seed", "seed must be >= 0"),
+    ("experiment --seed -1", "--seed", "seed must be >= 0"),
 ], ids=["max-iters", "tol", "beam-0", "beam-2", "iterations",
-        "malformed-head-rules", "missing-head-rules"])
+        "malformed-head-rules", "missing-head-rules", "bootstrap-seed",
+        "experiment-seed"])
 def test_bad_flag_value_exits_2(data_dir, tmp_path, capsys, argv, flag,
                                 diagnostic):
     """A flag value its config key would refuse is a usage error: exit 2,
@@ -205,12 +211,14 @@ def test_bad_flag_value_exits_2(data_dir, tmp_path, capsys, argv, flag,
     required = {"train-pcfg": ["--train", str(data_dir / "pcfg_train.mrg")],
                 "parse-sr": ["--model", "m", "--input", "i"],
                 "bootstrap": ["--gold", "g", "--a", "a", "--b", "b"],
+                "experiment": [str(tmp_path / "c.cfg")],
                 "train-sr": ["--train", str(data_dir / "sr_train.mrg")]}
     command, *rest = [paths.get(a, a) for a in argv.split()]
     out = str(tmp_path / "out")
     with pytest.raises(SystemExit) as e:
         cli.main([command, *required[command], *rest]
-                 + ([] if command == "bootstrap" else ["-o", out]))
+                 + ([] if command in ("bootstrap", "experiment")
+                    else ["-o", out]))
     assert e.value.code == 2
     err = capsys.readouterr().err
     assert err.endswith("error: argument %s: %s\n" % (
@@ -408,10 +416,22 @@ def test_sr_round_trip(data_dir, tmp_path):
     assert len(open(pred).read().splitlines()) == 2
 
 
-def test_train_sr_cond_needs_heldout(data_dir, tmp_path):
-    assert cli.main(["train-sr", "--train", str(data_dir / "sr_train.mrg"),
-                     "--flavor", "cond",
-                     "-o", str(tmp_path / "sr.txt")]) == 2
+@pytest.mark.parametrize("argv,diagnostic", [
+    ("train-tagger --variant conditional",
+     "--variant conditional requires --heldout"),
+    ("train-sr --flavor cond", "--flavor cond requires --heldout"),
+], ids=["train-tagger", "train-sr"])
+def test_missing_heldout_exits_2(data_dir, tmp_path, capsys, argv,
+                                 diagnostic):
+    """A model that needs heldout data, asked for without it, is a usage
+    error in both trainers: exit 2 and the same message."""
+    train = {"train-tagger": "hmm_train.tag", "train-sr": "sr_train.mrg"}
+    command, *rest = argv.split()
+    out = tmp_path / "model.txt"
+    assert cli.main([command, "--train", str(data_dir / train[command]),
+                     *rest, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: %s\n" % diagnostic
+    assert not out.exists()
 
 
 def test_experiment_validate_only(data_dir, tmp_path):

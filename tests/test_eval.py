@@ -99,3 +99,5 @@ def test_bootstrap_validation():
         bootstrap_test(gold, [], [], iterations=10)
     with pytest.raises(EvalError, match="iterations"):
         bootstrap_test(gold, list(gold), list(gold), iterations=0)
+    with pytest.raises(EvalError, match="seed must be >= 0"):
+        bootstrap_test(gold, list(gold), list(gold), iterations=10, seed=-1)

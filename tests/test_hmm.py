@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condest import toydata
-from condest.hmm import (END, MIXTURES, TABLES, UNK, VARIANTS, TaggedCorpus,
-                         TaggerModel, TaggingError, collect_tables,
-                         fit_deleted_interpolation, load_tagger, read_tagged,
-                         save_tagger, table_pairs, tagging_accuracy,
-                         write_tagged)
+from condest.hmm import (END, MIXTURES, TABLES, UNK, VARIANT_FACTORS,
+                         VARIANTS, TaggedCorpus, TaggerModel, TaggingError,
+                         collect_tables, fit_deleted_interpolation,
+                         load_tagger, read_tagged, save_tagger, table_pairs,
+                         tagging_accuracy, write_tagged)
 from oracles import (ReferenceTagger, brute_tag_decode, brute_tag_marginals,
                      brute_tag_partition, collect_tables_loop,
                      fit_tagger_mixture_loop, heldout_events_loop)
@@ -147,19 +147,18 @@ def test_lattice_matches_reference_tables(train, heldout, test):
     word_counts, ref = collect_tables_loop(train)
     for variant in VARIANTS:
         model = TaggerModel.train(variant, train, heldout)
-        for target in MIXTURES:
-            mix = getattr(model, target)
-            if mix is not None:
-                lambdas, trace = fit_tagger_mixture_loop(word_counts, ref,
-                                                         heldout, target)
-                assert (list(mix.lambdas.items()), mix.trace) == \
-                    (list(lambdas.items()), trace)
+        target, mix = VARIANT_FACTORS[variant][0], model.mixture
+        if mix is not None:
+            lambdas, trace = fit_tagger_mixture_loop(word_counts, ref,
+                                                     heldout, target)
+            assert (list(mix.lambdas.items()), mix.trace) == \
+                (list(lambdas.items()), trace)
         oracle = ReferenceTagger(model, word_counts, ref)
         words = sorted({model.tables.map_word(w) for w in "abcdef"}
                        | {END, UNK})
         for wprev in words:
             for w in words:
-                assert model.edge_weight(wprev, w).tobytes() == \
+                assert model.edge_weight([wprev], [w])[0].tobytes() == \
                     oracle.edge_weight(wprev, w).tobytes()
         for sentence in test:
             assert _lattice_or_error(model._lattice, sentence) == \
@@ -204,6 +203,12 @@ def test_variant_validation(det_corpus):
         TaggerModel.train("bogus", det_corpus)
     with pytest.raises(TaggingError, match="heldout"):
         TaggerModel.train("conditional", det_corpus)
+    tables = collect_tables(det_corpus)
+    mixture = fit_deleted_interpolation(tables, det_corpus)
+    with pytest.raises(ValueError, match="reads mixture pr0"):
+        TaggerModel("conditional", tables)
+    with pytest.raises(ValueError, match="reads mixture None"):
+        TaggerModel("joint", tables, mixture)
 
 
 def test_decode_tie_breaks_lexicographically():
@@ -321,10 +326,10 @@ def _scalar_edge(model, wprev, w, tprev, t):
     if model.variant == "joint":
         return tb.trans.prob((tprev,), t) * tb.emit.prob((t,), w)
     if model.variant == "conditional":
-        return model.pr0.prob((w, tprev), t)
+        return model.mixture.prob((w, tprev), t)
     if model.variant == "joint-prevword":
-        return tb.emit.prob((t,), w) * model.pr1.prob((wprev, tprev), t)
-    return model.pr0.prob((w, tprev), t) * tb.emit_prev.prob((tprev,), w)
+        return tb.emit.prob((t,), w) * model.mixture.prob((wprev, tprev), t)
+    return model.mixture.prob((w, tprev), t) * tb.emit_prev.prob((tprev,), w)
 
 
 def test_edge_weight_matches_scalar_tables():
@@ -336,7 +341,7 @@ def test_edge_weight_matches_scalar_tables():
         words = sorted({tb.map_word(w) for w in tb.word_counts} | {UNK, END})
         for wprev in words:
             for w in words:
-                got = model.edge_weight(wprev, w)
+                got = model.edge_weight([wprev], [w])[0]
                 assert got.shape == (len(syms), len(syms))
                 for i, tprev in enumerate(syms):
                     for j, t in enumerate(syms):

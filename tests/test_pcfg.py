@@ -128,25 +128,40 @@ def test_random_grammar_ignores_hash_seed():
 
 
 def test_mcle_ignores_hash_seed(tmp_path):
-    # each left-hand side's weights are summed in rule order, not set order
-    here = os.path.dirname(os.path.abspath(__file__))
+    """Every file each bundled pipeline writes, models included, is the
+    same under two hash seeds, and each file of bench/reference/ is
+    reproduced byte for byte.  (Each left-hand side's weights are summed
+    in rule order, not set order.)"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     data = tmp_path / "data"
     toydata.write_all(str(data))
-    outs = []
-    for hash_seed in ("0", "1"):
-        out = tmp_path / ("out" + hash_seed)
-        cfg = tmp_path / ("exp%s.cfg" % hash_seed)
-        cfg.write_text("[experiment]\npipeline = pcfg-mle-vs-mcle\n"
-                       "output_dir = %s\n[corpus]\ntrain = %s\ntest = %s\n"
-                       % (out, data / "pcfg_train.mrg", data / "pcfg_test.mrg"))
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.path.join(os.path.dirname(here), "src"))
-        subprocess.run([sys.executable, "-m", "condest.cli", "experiment",
-                        str(cfg)], env=env, check=True, capture_output=True)
-        outs.append([(out / name).read_bytes()
-                     for name in ("cll_trace.txt", "mcle.gram")])
-    assert outs[0] == outs[1]
-    assert outs[0][0].count(b"\n") > 2
+    corpora = {"pcfg-mle-vs-mcle": ("pcfg", ".mrg", "train test"),
+               "hmm-four-way": ("hmm", ".tag", "train heldout test"),
+               "sr-joint-vs-cond": ("sr", ".mrg", "train heldout test")}
+    written = {}
+    for pipeline, (prefix, ext, parts) in corpora.items():
+        cfg = data / (pipeline + ".cfg")
+        cfg.write_text(
+            "[experiment]\npipeline = %s\noutput_dir = out\n[corpus]\n"
+            % pipeline + "".join("%s = %s_%s%s\n" % (part, prefix, part, ext)
+                                 for part in parts.split()))
+        outs = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / pipeline / hash_seed
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.path.join(root, "src"))
+            subprocess.run([sys.executable, "-m", "condest.cli", "experiment",
+                            str(cfg), "--output-dir", str(out)], cwd=data,
+                           env=env, check=True, capture_output=True)
+            outs.append({name: (out / name).read_bytes()
+                         for name in sorted(os.listdir(out))})
+        assert outs[0] == outs[1], pipeline
+        written[pipeline] = outs[0]
+        reference = os.path.join(root, "bench", "reference", pipeline)
+        for name in os.listdir(reference):
+            with open(os.path.join(reference, name), "rb") as f:
+                assert outs[0][name] == f.read(), (pipeline, name)
+    assert written["pcfg-mle-vs-mcle"]["cll_trace.txt"].count(b"\n") > 2
 
 
 def test_inside_outside_matches_enumeration():

@@ -88,8 +88,6 @@ def test_estimate_joint_counts(single_tree_model):
     assert m.joint_table.prob(("B", "A"), reduce2("S")) == 1.0
     assert m.joint_table.prob(("S", STAR), shift(STAR)) == 1.0
     assert ("a", STAR) in m.observed_pairs
-    assert m.terminals == frozenset({"a", "b"})
-    assert m.nonterminals == frozenset({"S", "A", "B"})
 
 
 def test_estimate_joint_empty():
@@ -469,7 +467,6 @@ def test_save_load_round_trip(tmp_path):
         loaded = load_sr(path)
         assert loaded.flavor == model.flavor
         assert loaded.start == model.start
-        assert loaded.terminals == model.terminals
         assert loaded.observed_pairs == model.observed_pairs
         for s1, s2 in contexts:
             for la in ("a", "b", STAR):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from condest.trees import (Corpus, HeadRules, Tree, TreebankError, binarize,
+from condest.trees import (HeadRules, Tree, TreebankError, binarize,
                            debinarize, parse_trees, read_bracketed,
                            strip_lexical, tree_yield, write_bracketed,
                            write_tree)
@@ -148,8 +148,3 @@ def test_head_rules_from_text():
 def test_head_rules_bad_direction():
     with pytest.raises(TreebankError):
         HeadRules.from_text("NP: sideways N")
-
-
-def test_corpus_invariants():
-    with pytest.raises(TreebankError):
-        Corpus([Tree("S")], ids=[1, 2])
