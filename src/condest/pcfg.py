@@ -349,27 +349,58 @@ MAX_SHRINKS = 20   # line-search halvings before an ascent step gives up
 LINE_SEARCH_SHRINK = 0.5   # the step-size factor of one halving
 
 
+class _Treebank:
+    """A treebank compiled once for the corpus pass.  Sentence ``sid`` is
+    distinct tree ``tree_ids[sid]`` and yield ``yield_ids[sid]``, both
+    numbered in order of first appearance.  A tree is keyed by its rule
+    counts in the order ``tree_log_prob`` sums them, so equal keys score
+    equal bits; trees with one key may still differ in yield.  No ``Tree``
+    is hashed: its hash recurses."""
+
+    def __init__(self, corpus):
+        trees, yields = {}, {}
+        self.trees, self.tree_ids, self.yield_ids = [], [], []
+        for t in corpus:
+            tid = trees.setdefault(tuple(tree_productions(t).items()),
+                                   len(trees))
+            if tid == len(self.trees):
+                self.trees.append(t)
+            self.tree_ids.append(tid)
+            self.yield_ids.append(
+                yields.setdefault(tuple(tree_yield(t)), len(yields)))
+        self.yields = list(yields)
+
+    def stats(self, g):
+        """``corpus_stats`` of the treebank under ``g``: one
+        ``tree_log_prob`` per distinct tree and one ``inside_outside`` per
+        distinct yield, at its first sentence; the sums still add one term
+        per sentence, in corpus order."""
+        tlps, exps = [None] * len(self.trees), [None] * len(self.yields)
+        tlp_sum = marg_sum = 0.0
+        expected = defaultdict(float)
+        for sid, (tid, yid) in enumerate(zip(self.tree_ids, self.yield_ids)):
+            if tlps[tid] is None:
+                tlps[tid] = tree_log_prob(g, self.trees[tid])
+                if tlps[tid] == NEG_INF:
+                    raise EstimationError(
+                        "tree %r is not derivable under the grammar" % (sid,))
+            if exps[yid] is None:
+                exps[yid] = inside_outside(g, self.yields[yid])
+                if not exps[yid].parsable:
+                    raise EstimationError(
+                        "yield of tree %r is unparsable" % (sid,))
+            tlp_sum += tlps[tid]
+            marg_sum += exps[yid].log_marginal
+            for r, c in exps[yid].expected_counts.items():
+                expected[r] += c
+        return tlp_sum, marg_sum, expected
+
+
 def corpus_stats(g, corpus):
     """(sum of tree log probabilities, sum of yield log marginals, summed
     expected rule counts) of a treebank: the terms of the conditional
-    log-likelihood and its gradient.  Inside-Outside runs once per distinct
-    yield; the sums still take the sentences in corpus order."""
-    tlp_sum = marg_sum = 0.0
-    expected, by_yield = defaultdict(float), {}
-    for sid, t in enumerate(corpus):
-        tlp = tree_log_prob(g, t)
-        if tlp == NEG_INF:
-            raise EstimationError(
-                "tree %r is not derivable under the grammar" % (sid,))
-        x = tuple(tree_yield(t))
-        exp = by_yield[x] = by_yield.get(x) or inside_outside(g, x)
-        if not exp.parsable:
-            raise EstimationError("yield of tree %r is unparsable" % (sid,))
-        tlp_sum += tlp
-        marg_sum += exp.log_marginal
-        for r, c in exp.expected_counts.items():
-            expected[r] += c
-    return tlp_sum, marg_sum, expected
+    log-likelihood and its gradient."""
+    return _Treebank(corpus).stats(g)
 
 
 def _direction(g, observed, expected):
@@ -414,8 +445,9 @@ def estimate_mcle(corpus, init, cfg=None, trace=None):
     """
     cfg = cfg or AscentConfig()
     observed = extract_counts(corpus).counts
+    treebank = _Treebank(corpus)
     g = init
-    tlp, marg, expected = corpus_stats(g, corpus)
+    tlp, marg, expected = treebank.stats(g)
     cll = tlp - marg
     if trace is not None:
         trace.append(cll)
@@ -424,7 +456,7 @@ def estimate_mcle(corpus, init, cfg=None, trace=None):
         eta = cfg.initial_step
         for _ in range(MAX_SHRINKS):
             cand = _eg_step(g, direction, eta)
-            tlp_c, marg_c, exp_c = corpus_stats(cand, corpus)
+            tlp_c, marg_c, exp_c = treebank.stats(cand)
             if tlp_c - marg_c > cll:
                 break
             eta *= LINE_SEARCH_SHRINK
@@ -450,8 +482,8 @@ def viterbi_parse(g, x):
     if not x:
         raise EstimationError("empty terminal string")
     fg = g.factored()
-    n, nb = len(x), len(fg.parent)
-    # back: the binary rule of a cell's score, nb + its unary rule, or -1
+    n = len(x)
+    # back: the binary rule of a cell's score, its unary rule's slot, or -1
     best = np.full((n + 1, n + 1, fg.size), NEG_INF)
     back = np.full(best.shape, -1)
     pos, k = fg.entries(x)
@@ -480,27 +512,42 @@ def viterbi_parse(g, x):
                 break
     if best[n, 0, fg.start] == NEG_INF:
         return None
+    return _backtrace(fg, x, best, back)
 
-    def build(sym, i, j):
-        """Tree for an original symbol; list of trees for an intermediate."""
-        name = fg.symbols[sym]
-        if sym >= fg.n_chart:
-            return Tree(name)
+
+def _backtrace(fg, x, best, back):
+    """The tree of the start symbol over all of x, read off the back
+    pointers without recursion, so a parse of any depth builds.  An
+    intermediate symbol's children join its parent's; a binary rule takes
+    its first best split."""
+    nb = len(fg.parent)
+    nodes, todo = [], [(fg.start, 0, len(x), [])]   # nodes: (label, kid ids)
+    while todo:
+        sym, i, j, siblings = todo.pop()
+        if not fg.n_nt <= sym < fg.n_chart:   # not an intermediate
+            siblings.append(len(nodes))
+            nodes.append((fg.symbols[sym], []))
+            siblings = nodes[-1][1]
+        if sym >= fg.n_chart:   # a terminal of a binary rule
+            continue
         r = back[j - i, i, sym]
         if r < 0:
-            return Tree(name, (Tree(x[i]),))
-        if r >= nb:
-            return Tree(name, (build(fg.u_child[r - nb], i, j),))
-        left, right = _splits(best, j - i)   # the rule's first best split
-        k = i + 1 + ((fg.log_weight[r] + left[:, i, fg.left[r]])
-                     + right[:, i, fg.right[r]]).argmax()
-        kids = []
-        for part in (build(fg.left[r], i, k), build(fg.right[r], k, j)):
-            kids += part if isinstance(part, list) else [part]
-        return kids if fg.rules[r] is None else Tree(name, kids)
-
-    tree, build = build(fg.start, 0, n), None   # no cycle keeps the charts
-    return tree
+            siblings.append(len(nodes))
+            nodes.append((x[i], ()))
+        elif r >= nb:
+            todo.append((fg.u_child[r - nb], i, j, siblings))
+        else:
+            left, right = _splits(best, j - i)
+            k = i + 1 + ((fg.log_weight[r] + left[:, i, fg.left[r]])
+                         + right[:, i, fg.right[r]]).argmax()
+            todo += [(fg.right[r], k, j, siblings),
+                     (fg.left[r], i, k, siblings)]
+    # every node's children come after it
+    built = [None] * len(nodes)
+    for idx in range(len(nodes) - 1, -1, -1):
+        label, kids = nodes[idx]
+        built[idx] = Tree(label, [built[k] for k in kids])
+    return built[0]
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,20 @@ def tree_yield(t):
 
 
 def write_tree(t):
-    if t.is_leaf():
-        return t.label
-    return "(%s %s)" % (t.label, " ".join(write_tree(c) for c in t.children))
+    """Bracketed text of t, built without recursion."""
+    out, todo = [], [t]   # todo: trees and literal text, last first
+    while todo:
+        node = todo.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif node.is_leaf():
+            out.append(node.label)
+        else:
+            out.append("(" + node.label)
+            todo.append(")")
+            for c in reversed(node.children):
+                todo += (c, " ")
+    return "".join(out)
 
 
 _TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")

@@ -16,10 +16,11 @@ import numpy as np
 
 from condest.hmm import END, UNK, UNK_THRESHOLD, TaggingError
 from condest.interp import InterpolatedCondDist, bucket_id
-from condest.pcfg import Pcfg, Production, tree_productions
+from condest.pcfg import (NEG_INF, EstimationError, Pcfg, Production,
+                          inside_outside, tree_log_prob, tree_productions)
 from condest.shiftreduce import (ARITY, SHIFT, STAR, BeamConfig, ParserError,
                                  shift, tree_from_moves)
-from condest.trees import Tree
+from condest.trees import Tree, tree_yield
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +176,6 @@ class RawGrammar:
 
 def raw_cll(start, theta, corpus):
     """Conditional log-likelihood at free weights, by full enumeration."""
-    from condest.trees import tree_yield
     g = RawGrammar(start, theta)
     total = 0.0
     for t in corpus:
@@ -183,6 +183,29 @@ def raw_cll(start, theta, corpus):
         den = sum(tree_prob(g, p) for p in enumerate_parses(g, tree_yield(t)))
         total += math.log(num) - math.log(den)
     return total
+
+
+def corpus_stats_reference(g, corpus):
+    """(sum of tree log probabilities, sum of yield log marginals, summed
+    expected rule counts) of a treebank: the terms of the conditional
+    log-likelihood and its gradient.  Inside-Outside runs once per distinct
+    yield; the sums still take the sentences in corpus order."""
+    tlp_sum = marg_sum = 0.0
+    expected, by_yield = defaultdict(float), {}
+    for sid, t in enumerate(corpus):
+        tlp = tree_log_prob(g, t)
+        if tlp == NEG_INF:
+            raise EstimationError(
+                "tree %r is not derivable under the grammar" % (sid,))
+        x = tuple(tree_yield(t))
+        exp = by_yield[x] = by_yield.get(x) or inside_outside(g, x)
+        if not exp.parsable:
+            raise EstimationError("yield of tree %r is unparsable" % (sid,))
+        tlp_sum += tlp
+        marg_sum += exp.log_marginal
+        for r, c in exp.expected_counts.items():
+            expected[r] += c
+    return tlp_sum, marg_sum, expected
 
 
 # ---------------------------------------------------------------------------

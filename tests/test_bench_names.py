@@ -1,7 +1,9 @@
 """Every function the benchmark's probes wrap (bench/probes.py) resolves in
-``condest``, the wrappers install and come off again, and the experiment
-configs of the bundled workload (bench/jobs.py) validate.  A rename or a
-config change then fails here instead of in a benchmark run."""
+``condest``, the wrappers install and come off again, the PCFG layers the
+benchmark requires to fire on its PCFG workloads do fire, and the
+experiment configs of the bundled workload (bench/jobs.py) validate.  A
+rename, a pass that stops calling a traced function by name, or a config
+change then fails here instead of in a benchmark run."""
 
 import importlib.util
 import os
@@ -50,6 +52,24 @@ def test_probes_install_and_restore():
     assert (hmm.collect_tables, hmm.fit_interpolation,
             interp.fit_mixture_weights,
             vars(hmm.TaggerModel)["train"]) == before
+
+
+def test_pcfg_layers_fire_under_the_tracer():
+    from condest import pcfg, toydata
+    probes = _probes()
+    corpus = toydata.pcfg_train_corpus()
+    mle = pcfg.estimate_mle(pcfg.extract_counts(corpus))
+    tracer = probes.Tracer()
+    tracer.install()
+    try:
+        pcfg.estimate_mcle(corpus, mle, pcfg.AscentConfig(max_iters=1))
+        pcfg.viterbi_parse(mle, ["a", "a"])
+    finally:
+        tracer.uninstall()
+    spans, counts = tracer.take()
+    totals, _ = probes.span_totals(spans)
+    assert {"pcfg.tree_log_prob", "pcfg.inside_outside", "pcfg.estimate_mcle",
+            "pcfg.viterbi_parse"} <= probes.fired(totals, counts)
 
 
 def test_bundled_configs_validate(tmp_path):

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from condest import cli, pcfg, toydata
+from condest import cli, pcfg, toydata, trees
 from condest.cli import ConfigError, load_config, parse_config_text
 from condest.pcfg import AscentConfig
 from condest.shiftreduce import BeamConfig
@@ -328,6 +328,18 @@ def test_pcfg_round_trip(data_dir, tmp_path, capsys):
     assert cli.main(["bootstrap", "--gold", gold, "--a", pred, "--b", pred,
                      "--iterations", "50"]) == 0
     assert "p_value" in capsys.readouterr().out
+
+
+def test_deep_parse_exits_0(tmp_path):
+    # the only parse of a^400 is 400 nodes deep
+    gram = _write(tmp_path / "deep.gram", "[meta]\nstart\tS\n[rules]\n"
+                  "S\tX\t1\nX\ta X\t0.5\nX\ta Y\t0.5\nY\ta\t1\n")
+    sents = _write(tmp_path / "sents.txt", " ".join(["a"] * 400) + "\n")
+    pred = tmp_path / "pred.mrg"
+    assert cli.main(["parse", "--grammar", gram, "--input", sents,
+                     "-o", str(pred)]) == 0
+    (tree,) = trees.read_bracketed(pred.read_text())
+    assert trees.tree_yield(tree) == ["a"] * 400
 
 
 def test_bootstrap_on_empty_corpora(tmp_path, capsys):

@@ -1,20 +1,24 @@
+import logging
 import math
 import os
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from condest import toydata
+from condest import pcfg, toydata
 from condest.pcfg import (AscentConfig, EstimationError, Pcfg, Production,
                           cll_gradient, corpus_stats, estimate_mcle,
                           estimate_mle, extract_counts, inside_outside, load_grammar, save_grammar,
                           tree_log_prob, tree_productions, viterbi_parse)
-from condest.trees import Corpus, parse_trees, tree_yield
-from oracles import (brute_marginal_and_expectations, enumerate_parses,
-                     random_grammar, raw_cll, sample_tree_from_grammar,
-                     tree_prob)
+from condest.trees import Corpus, parse_trees, tree_yield, write_tree
+from oracles import (brute_marginal_and_expectations, corpus_stats_reference,
+                     enumerate_parses, random_grammar, random_nary_tree,
+                     raw_cll, sample_tree_from_grammar, tree_prob)
 
 
 def t(s):
@@ -277,6 +281,102 @@ def test_mcle_fixed_point_at_saturation():
     assert _cll(mcle, corpus) == pytest.approx(trace[0])
 
 
+# ---------------------------------------------------------------------------
+# The corpus pass against the per-sentence reference (oracles).
+
+# A rule multiset visited in two orders; two trees with one ordered rule
+# count but two yields; two bracketings of one yield.
+SHAPES = [t(s) for s in ("(S (X (X a) (X b)) (X a))",
+                         "(S (X a) (X (X a) (X b)))",
+                         "(S (X a) (X b) (X a))", "(S (X b) (X a) (X a))",
+                         "(S (X (X a) (X a)) (X a))")]
+
+
+def _bits(stats):
+    """The pass's result as text that tells every float bit and key order."""
+    tlp, marg, expected = stats
+    return repr((tlp, marg, list(expected.items())))
+
+
+def test_shapes_cover_the_pass_cases():
+    key = [tuple(tree_productions(s).items()) for s in SHAPES]
+    yields = [tree_yield(s) for s in SHAPES]
+    assert extract_counts([SHAPES[0]]).counts == extract_counts(
+        [SHAPES[1]]).counts and key[0] != key[1]
+    assert key[2] == key[3] and yields[2] != yields[3]
+    assert yields[0] == yields[2] and key[0] != key[2]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seeds=st.lists(st.integers(0, 2 ** 32 - 1), max_size=3),
+       picks=st.lists(st.integers(0, 63), max_size=12))
+def test_corpus_pass_matches_reference(seeds, picks):
+    pool = SHAPES + [random_nary_tree(random.Random(s), max_children=3,
+                                      max_depth=3) for s in seeds]
+    # random picks, repeats likely, then every tree of the pool
+    corpus = Corpus([pool[i % len(pool)] for i in picks] + pool)
+    g = estimate_mle(extract_counts(corpus))
+    assert _bits(corpus_stats(g, corpus)) == _bits(
+        corpus_stats_reference(g, corpus))
+
+
+def _failure(stats, g, corpus, caplog):
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="condest.pcfg"):
+        with pytest.raises(EstimationError) as e:
+            stats(g, corpus)
+    return str(e.value), [r.getMessage() for r in caplog.records]
+
+
+def test_corpus_pass_errors_match_reference(caplog):
+    aa, ab = t("(S (A a) (A a))"), t("(S (A a) (B b))")
+    corpus = Corpus([aa, aa, ab, ab, aa])
+    tiny = 5e-324   # the tree scores log(tiny); its inside value rounds to 0
+    for g, failure in (
+            (estimate_mle(extract_counts([aa])),
+             ("tree 2 is not derivable under the grammar",
+              ["tree uses rules absent from grammar: S -> A B; B -> b"])),
+            (Pcfg("S", {P("S", "A", "A"): 1.0 - tiny, P("S", "A", "B"): tiny,
+                        P("A", "a"): 1.0, P("B", "b"): 1.0}),
+             ("yield of tree 2 is unparsable", []))):
+        assert _failure(corpus_stats, g, corpus, caplog) == failure
+        assert _failure(corpus_stats_reference, g, corpus, caplog) == failure
+
+
+def test_bundled_mcle_fit_is_pinned(monkeypatch):
+    corpus = toydata.pcfg_train_corpus()
+    mle = estimate_mle(extract_counts(corpus))
+    spies = {name: mock.Mock(wraps=getattr(pcfg, name))
+             for name in ("tree_log_prob", "inside_outside")}
+    for name, spy in spies.items():
+        monkeypatch.setattr(pcfg, name, spy)
+    trace = []
+    g = estimate_mcle(corpus, mle, trace=trace)
+    # 43 passes over 5 distinct trees and 4 distinct yields
+    assert {name: spy.call_count for name, spy in spies.items()} == {
+        "tree_log_prob": 215, "inside_outside": 172}
+    monkeypatch.undo()
+    passes = []
+
+    class ReferencePass:
+        """Stands in for the compiled treebank: each pass is the
+        per-sentence reference."""
+
+        def __init__(self, corpus):
+            self.corpus = corpus
+
+        def stats(self, g):
+            passes.append(g)
+            return corpus_stats_reference(g, self.corpus)
+
+    monkeypatch.setattr(pcfg, "_Treebank", ReferencePass)
+    ref_trace = []
+    ref = estimate_mcle(corpus, mle, trace=ref_trace)
+    assert (len(passes), len(trace)) == (43, 8)
+    assert repr(trace) == repr(ref_trace)
+    assert repr(sorted(g.theta.items())) == repr(sorted(ref.theta.items()))
+
+
 def test_ascent_config_validation():
     with pytest.raises(ValueError):
         AscentConfig(max_iters=0)
@@ -338,6 +438,15 @@ def test_viterbi_empty_string(tiny_corpus):
     g = estimate_mle(extract_counts(tiny_corpus))
     with pytest.raises(EstimationError, match="empty"):
         viterbi_parse(g, [])
+
+
+def test_viterbi_deep_parse():
+    # the only parse of a^1050 is 1,050 nodes deep: no recursion may build it
+    g = Pcfg("S", {P("S", "X"): 1.0, P("X", "a", "X"): 0.5,
+                   P("X", "a", "Y"): 0.5, P("Y", "a"): 1.0})
+    n = 1050
+    assert write_tree(viterbi_parse(g, ["a"] * n)) == (
+        "(S " + "(X a " * (n - 1) + "(Y a)" + ")" * n)
 
 
 def test_grammar_round_trip(tmp_path, tiny_corpus):

@@ -50,6 +50,15 @@ def test_write_round_trip():
     assert write_tree(t(text)) == text
 
 
+def test_write_deep_tree():
+    deep = Tree("a")
+    for _ in range(5000):
+        deep = Tree("X", (Tree("b"), deep))
+    text = write_tree(deep)
+    assert text == "(X b " * 5000 + "a" + ")" * 5000
+    assert tree_yield(parse_trees(text)[0]) == ["b"] * 5000 + ["a"]
+
+
 def test_corpus_round_trip():
     c = read_bracketed("(S (A a))\n(S (A a) (B b))\n")
     assert read_bracketed(write_bracketed(c)) == c
