@@ -21,20 +21,21 @@ class EvalError(ValueError):
 
 
 def brackets(t):
-    """Multiset of (start, end, label) spans, one per internal node."""
-    out = Counter()
-
-    def walk(node, i):
-        if node.is_leaf():
-            return i + 1
-        j = i
-        for c in node.children:
-            j = walk(c, j)
-        out[(i, j, node.label)] += 1
-        return j
-
-    walk(t, 0)
-    return out
+    """Multiset of (start, end, label) spans, one per internal node, walked
+    without recursion so a tree of any depth scores."""
+    spans, todo, opened, i = [], [t], [], 0   # opened: (start, label)
+    while todo:
+        node = todo.pop()
+        if node is None:   # the children of opened[-1] are done
+            start, label = opened.pop()
+            spans.append((start, i, label))
+        elif node.children:
+            opened.append((i, node.label))
+            todo.append(None)
+            todo.extend(reversed(node.children))
+        else:
+            i += 1
+    return Counter(spans)
 
 
 @dataclass

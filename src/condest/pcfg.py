@@ -265,10 +265,12 @@ def _splits(chart, w):
 
 def _rescale(base, closure, exp):
     """Close each row of ``base`` (a span's values times 2**-exp[row])
-    under the unary rules, and scale it to a maximum in [0.5, 1)."""
-    nt = base[:, :len(closure)]
-    closed = np.array([closure @ v for v in nt])   # per span, as always
-    base[:, :len(closure)] = np.where(closed > 0.0, closed, nt)
+    under the unary rules (None: there are none), and scale it to a maximum
+    in [0.5, 1)."""
+    if closure is not None:
+        nt = base[:, :len(closure)]
+        closed = np.array([closure @ v for v in nt])   # per span, as always
+        base[:, :len(closure)] = np.where(closed > 0.0, closed, nt)
     top = base.max(axis=1)
     shift = np.frexp(top)[1]
     return (np.ldexp(base, -shift[:, None]),
@@ -285,24 +287,27 @@ def inside_outside(g, x):
         raise EstimationError("empty terminal string")
     fg = g.factored()
     n = len(x)
+    nb, nu = len(fg.parent), len(fg.u_lhs)
+    closure = fg.closure if nu else None
     # inside[w, i] * 2**exps[w, i] is the span (i, i + w)
     inside = np.zeros((n + 1, n + 1, fg.size))
     exps = np.full((n + 1, n + 1), ZERO_EXP)
     pos, k = fg.entries(x)
     inside[1, pos, fg.lex_lhs[k]] = fg.lex_weight[k]
-    inside[1, :n], exps[1, :n] = _rescale(inside[1, :n], fg.closure, 0)
+    inside[1, :n], exps[1, :n] = _rescale(inside[1, :n], closure, 0)
+    cells = np.arange(n)[:, None] * fg.size + fg.parent
+    tops = [0, 0]   # tops[w]: the exponent width w's splits are summed at
     for w in range(2, n + 1):
         m = n + 1 - w
         (left, right), s = _splits(inside, w), np.add(*_splits(exps, w))
-        top = s.max(axis=0)   # the splits are summed at this exponent
+        tops.append(s.max(axis=0))
         # a rule-by-rule loop's products, summed over splits in its order
-        acc = (np.ldexp(left, (s - top)[..., None])[..., fg.left]
+        acc = (np.ldexp(left, (s - tops[w])[..., None])[..., fg.left]
                * right[..., fg.right]).sum(axis=0)
-        cells = np.arange(m)[:, None] * fg.size + fg.parent
-        base = np.bincount(cells.ravel(), (fg.weight * acc).ravel(),
+        base = np.bincount(cells[:m].ravel(), (fg.weight * acc).ravel(),
                            m * fg.size)   # adds in rule order
         inside[w, :m], exps[w, :m] = _rescale(
-            base.reshape(m, -1), fg.closure, top)
+            base.reshape(m, -1), closure, tops[w])
     zm, ze = inside[n, 0, fg.start], int(exps[n, 0])
     if zm <= 0.0:
         return SentenceExpectations(NEG_INF, {})
@@ -315,30 +320,31 @@ def inside_outside(g, x):
     grad = np.zeros_like(inside)
     grad[n, 0, fg.start] = 1.0 / zm
     expected = np.zeros(len(fg.rules))
-    nb, nu = len(fg.parent), len(fg.u_lhs)
     for w in range(n, 0, -1):
         m = n + 1 - w
-        (left, right), s = _splits(inside, w), np.add(*_splits(exps, w))
-        top = s.max(axis=0) if w > 1 else 0
-        shift = (exps[w, :m] - top)[:, None]
+        shift = (exps[w, :m] - tops[w])[:, None]
         gv = np.ldexp(grad[w, :m], -shift)
-        gv[:, :fg.n_nt] = gv[:, :fg.n_nt] @ fg.closure
-        expected[nb:nb + nu] += (
-            fg.u_weight * gv[:, fg.u_lhs]
-            * np.ldexp(inside[w, :m][:, fg.u_child], shift)).sum(axis=0)
+        if closure is not None:
+            gv[:, :fg.n_nt] = gv[:, :fg.n_nt] @ closure
+            expected[nb:nb + nu] += (
+                fg.u_weight * gv[:, fg.u_lhs]
+                * np.ldexp(inside[w, :m][:, fg.u_child], shift)).sum(axis=0)
         if w == 1:
             break
+        (left, right), s = _splits(inside, w), np.add(*_splits(exps, w))
         left, right = left[..., fg.left], right[..., fg.right]
-        gp = np.ldexp(fg.weight * gv[:, fg.parent], (s - top)[..., None])
-        expected[:nb] += (gp * left * right).sum(axis=(0, 1))
+        gp = np.ldexp(fg.weight * gv[:, fg.parent], (s - tops[w])[..., None])
+        gl = gp * left
+        expected[:nb] += (gl * right).sum(axis=(0, 1))
         grad_left, grad_right = _splits(grad, w)
         grad_left += (gp * right) @ fg.to_left
-        grad_right += (gp * left) @ fg.to_right
+        grad_right += gl @ fg.to_right
     expected[nb + nu:] += np.bincount(
         k, fg.lex_weight[k] * gv[pos, fg.lex_lhs[k]], len(fg.lex_lhs))
+    nz = np.flatnonzero(expected)
     return SentenceExpectations(log_z, {
-        r: c for r, c in zip(fg.rules, expected.tolist())
-        if r is not None and c != 0.0})
+        fg.rules[i]: c for i, c in zip(nz.tolist(), expected[nz].tolist())
+        if fg.rules[i] is not None})
 
 
 # ---------------------------------------------------------------------------

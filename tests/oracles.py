@@ -8,16 +8,18 @@ a reference for the chart/lattice/beam implementations.
 import itertools
 import logging
 import math
+import sys
 import types
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from typing import NamedTuple
 
 import numpy as np
 
 from condest.hmm import END, UNK, UNK_THRESHOLD, TaggingError
 from condest.interp import InterpolatedCondDist, bucket_id
-from condest.pcfg import (NEG_INF, EstimationError, Pcfg, Production,
-                          inside_outside, tree_log_prob, tree_productions)
+from condest.pcfg import (NEG_INF, ZERO_EXP, EstimationError, Pcfg,
+                          Production, SentenceExpectations, inside_outside,
+                          tree_log_prob, tree_productions)
 from condest.shiftreduce import (ARITY, SHIFT, STAR, BeamConfig, ParserError,
                                  shift, tree_from_moves)
 from condest.trees import Tree, tree_yield
@@ -96,9 +98,10 @@ def brute_marginal_and_expectations(g, x):
     return math.log(z), dict(expected)
 
 
-def random_grammar(rng, max_nts=4, max_rules=6):
+def random_grammar(rng, max_nts=4, max_rules=6, unary=True):
     """Small random PCFG without unary nonterminal cycles (unary rules only
-    point from lower-indexed to higher-indexed nonterminals)."""
+    point from lower-indexed to higher-indexed nonterminals); with ``unary``
+    false it has no unary rules at all."""
     n_nt = rng.randint(2, max_nts)
     nts = ["N%d" % i for i in range(n_nt)]
     terms = ["a", "b"]
@@ -109,7 +112,7 @@ def random_grammar(rng, max_nts=4, max_rules=6):
         i = rng.randrange(n_nt)
         lhs = nts[i]
         shape = rng.random()
-        if shape < 0.25 and i + 1 < n_nt:
+        if shape < 0.25 and unary and i + 1 < n_nt:
             rhs = (nts[rng.randint(i + 1, n_nt - 1)],)
         elif shape < 0.85:
             rhs = tuple(rng.choice(nts + terms) for _ in range(2))
@@ -206,6 +209,97 @@ def corpus_stats_reference(g, corpus):
         for r, c in exp.expected_counts.items():
             expected[r] += c
     return tlp_sum, marg_sum, expected
+
+
+# ---------------------------------------------------------------------------
+# PCFG: the Inside-Outside chart kernel before its per-width work was
+# trimmed, kept verbatim but for its name as a bit-for-bit reference.
+
+def _splits(chart, w):
+    """Views of the split parts of the width-w spans: left[d - 1, i] is (i,
+    i + d), right[d - 1, i] is (i + d, i + w), a strided line in the chart."""
+    m, st = chart.shape[1] - w, chart.strides
+    right = np.ndarray((w - 1, m) + chart.shape[2:], chart.dtype, chart,
+                       (w - 1) * st[0] + st[1], (st[1] - st[0],) + st[1:])
+    return chart[1:w, :m], right
+
+
+def _rescale(base, closure, exp):
+    """Close each row of ``base`` (a span's values times 2**-exp[row])
+    under the unary rules, and scale it to a maximum in [0.5, 1)."""
+    nt = base[:, :len(closure)]
+    closed = np.array([closure @ v for v in nt])   # per span, as always
+    base[:, :len(closure)] = np.where(closed > 0.0, closed, nt)
+    top = base.max(axis=1)
+    shift = np.frexp(top)[1]
+    return (np.ldexp(base, -shift[:, None]),
+            np.where(top > 0.0, exp + shift, ZERO_EXP))
+
+
+def inside_outside_reference(g, x):
+    """String log-marginal and expected rule counts via Inside-Outside.
+
+    Unparsable strings yield log_marginal -inf with all-zero expectations.
+    """
+    x = list(x)
+    if not x:
+        raise EstimationError("empty terminal string")
+    fg = g.factored()
+    n = len(x)
+    # inside[w, i] * 2**exps[w, i] is the span (i, i + w)
+    inside = np.zeros((n + 1, n + 1, fg.size))
+    exps = np.full((n + 1, n + 1), ZERO_EXP)
+    pos, k = fg.entries(x)
+    inside[1, pos, fg.lex_lhs[k]] = fg.lex_weight[k]
+    inside[1, :n], exps[1, :n] = _rescale(inside[1, :n], fg.closure, 0)
+    for w in range(2, n + 1):
+        m = n + 1 - w
+        (left, right), s = _splits(inside, w), np.add(*_splits(exps, w))
+        top = s.max(axis=0)   # the splits are summed at this exponent
+        # a rule-by-rule loop's products, summed over splits in its order
+        acc = (np.ldexp(left, (s - top)[..., None])[..., fg.left]
+               * right[..., fg.right]).sum(axis=0)
+        cells = np.arange(m)[:, None] * fg.size + fg.parent
+        base = np.bincount(cells.ravel(), (fg.weight * acc).ravel(),
+                           m * fg.size)   # adds in rule order
+        inside[w, :m], exps[w, :m] = _rescale(
+            base.reshape(m, -1), fg.closure, top)
+    zm, ze = inside[n, 0, fg.start], int(exps[n, 0])
+    if zm <= 0.0:
+        return SentenceExpectations(NEG_INF, {})
+    z = math.ldexp(zm, ze)
+    log_z = (math.log(z) if z >= sys.float_info.min
+             else math.log(zm) + ze * math.log(2.0))
+
+    # grad[w, i] = d log Z / d inside[w, i], widest first; through scaling
+    # and closure it is gv: times a rule's term, that rule's expected count.
+    grad = np.zeros_like(inside)
+    grad[n, 0, fg.start] = 1.0 / zm
+    expected = np.zeros(len(fg.rules))
+    nb, nu = len(fg.parent), len(fg.u_lhs)
+    for w in range(n, 0, -1):
+        m = n + 1 - w
+        (left, right), s = _splits(inside, w), np.add(*_splits(exps, w))
+        top = s.max(axis=0) if w > 1 else 0
+        shift = (exps[w, :m] - top)[:, None]
+        gv = np.ldexp(grad[w, :m], -shift)
+        gv[:, :fg.n_nt] = gv[:, :fg.n_nt] @ fg.closure
+        expected[nb:nb + nu] += (
+            fg.u_weight * gv[:, fg.u_lhs]
+            * np.ldexp(inside[w, :m][:, fg.u_child], shift)).sum(axis=0)
+        if w == 1:
+            break
+        left, right = left[..., fg.left], right[..., fg.right]
+        gp = np.ldexp(fg.weight * gv[:, fg.parent], (s - top)[..., None])
+        expected[:nb] += (gp * left * right).sum(axis=(0, 1))
+        grad_left, grad_right = _splits(grad, w)
+        grad_left += (gp * right) @ fg.to_left
+        grad_right += (gp * left) @ fg.to_right
+    expected[nb + nu:] += np.bincount(
+        k, fg.lex_weight[k] * gv[pos, fg.lex_lhs[k]], len(fg.lex_lhs))
+    return SentenceExpectations(log_z, {
+        r: c for r, c in zip(fg.rules, expected.tolist())
+        if r is not None and c != 0.0})
 
 
 # ---------------------------------------------------------------------------
@@ -661,6 +755,26 @@ def beam_parse_reference(model, words, cfg=None):
 def _apply_to_state(state, move, logp):
     return _State(state.logp + logp, state.moves + (move,),
                   apply_move(state.labels, move))
+
+
+# ---------------------------------------------------------------------------
+# Evaluation: labelled brackets by recursion, one frame per tree level.
+
+def brackets_reference(t):
+    """Multiset of (start, end, label) spans, one per internal node."""
+    out = Counter()
+
+    def walk(node, i):
+        if node.is_leaf():
+            return i + 1
+        j = i
+        for c in node.children:
+            j = walk(c, j)
+        out[(i, j, node.label)] += 1
+        return j
+
+    walk(t, 0)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -342,6 +342,15 @@ def test_deep_parse_exits_0(tmp_path):
     assert trees.tree_yield(tree) == ["a"] * 400
 
 
+def test_eval_deep_trees_exits_0(tmp_path, capsys):
+    # one right-branching tree 1,200 levels deep, scored against itself
+    deep = "(S " + "(X a " * 1199 + "(Y a)" + ")" * 1200 + "\n"
+    gold = _write(tmp_path / "gold.mrg", deep)
+    pred = _write(tmp_path / "pred.mrg", deep)
+    assert cli.main(["eval", "--gold", gold, "--pred", pred]) == 0
+    assert "f\t1.000000\n" in capsys.readouterr().out
+
+
 def test_bootstrap_on_empty_corpora(tmp_path, capsys):
     empty = _write(tmp_path / "empty.mrg", "")
     assert cli.main(["bootstrap", "--gold", empty, "--a", empty,

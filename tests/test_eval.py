@@ -1,8 +1,13 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condest.evaluation import (EvalError, bootstrap_test, brackets,
                                 score_corpus, sentence_stats)
 from condest.trees import parse_trees
+from oracles import brackets_reference, random_nary_tree
 
 
 def t(s):
@@ -17,6 +22,13 @@ def test_brackets():
 def test_brackets_multiset():
     got = brackets(t("(S (A (A a)))"))
     assert got[(0, 1, "A")] == 2
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), depth=st.integers(1, 6))
+def test_brackets_match_recursive_walk(seed, depth):
+    tree = random_nary_tree(random.Random(seed), max_depth=depth)
+    assert brackets(tree) == brackets_reference(tree)
 
 
 def test_sentence_stats():

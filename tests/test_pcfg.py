@@ -7,7 +7,7 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from condest import pcfg, toydata
@@ -17,8 +17,9 @@ from condest.pcfg import (AscentConfig, EstimationError, Pcfg, Production,
                           tree_log_prob, tree_productions, viterbi_parse)
 from condest.trees import Corpus, parse_trees, tree_yield, write_tree
 from oracles import (brute_marginal_and_expectations, corpus_stats_reference,
-                     enumerate_parses, random_grammar, random_nary_tree,
-                     raw_cll, sample_tree_from_grammar, tree_prob)
+                     enumerate_parses, inside_outside_reference,
+                     random_grammar, random_nary_tree, raw_cll,
+                     sample_tree_from_grammar, tree_prob)
 
 
 def t(s):
@@ -186,15 +187,19 @@ def test_inside_outside_matches_enumeration():
                         want_exp.get(r, 0.0), abs=1e-10)
 
 
+def _catalan_grammar(n):
+    """``S -> S S`` (0.5) over 20 words (0.025 each), and an n-word string:
+    every binary tree over the string has the same probability."""
+    theta = {P("S", "S", "S"): 0.5}
+    theta.update({P("S", "t%02d" % k): 0.025 for k in range(20)})
+    return Pcfg("S", theta), ["t%02d" % (i % 20) for i in range(n)]
+
+
 def test_inside_outside_long_sentence_does_not_underflow():
-    # Every binary tree over the string has the same probability, so
     # Z = Catalan(n - 1) * 0.5**(n - 1) * 0.025**n, about exp(-788): below
     # the smallest double.
     n = 260
-    theta = {P("S", "S", "S"): 0.5}
-    theta.update({P("S", "t%02d" % k): 0.025 for k in range(20)})
-    g = Pcfg("S", theta)
-    x = ["t%02d" % (i % 20) for i in range(n)]
+    g, x = _catalan_grammar(n)
     exp = inside_outside(g, x)
     m = n - 1
     log_catalan = (math.lgamma(2 * m + 1) - math.lgamma(m + 2)
@@ -205,6 +210,31 @@ def test_inside_outside_long_sentence_does_not_underflow():
     # every parse has n - 1 binary nodes and one lexical rule per word
     assert exp.expected_counts[P("S", "S", "S")] == pytest.approx(m, rel=1e-9)
     assert exp.expected_counts[P("S", "t07")] == pytest.approx(13, rel=1e-9)
+
+
+@st.composite
+def grammar_and_string(draw):
+    """A random grammar (lexical, unary, binary and ternary rules, terminals
+    inside binary rules; some without unary rules) and a 1-10 word string:
+    a sampled yield of the grammar, or any string over "abc", which the
+    grammar may not derive ("c" is in no grammar's vocabulary)."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    g, _ = random_grammar(rng, draw(st.integers(2, 5)),
+                          draw(st.integers(4, 12)), unary=draw(st.booleans()))
+    if draw(st.booleans()):
+        for _ in range(20):
+            tree = sample_tree_from_grammar(g, rng)
+            if tree is not None and len(tree_yield(tree)) <= 10:
+                return g, tree_yield(tree)
+    return g, draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=10))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(case=grammar_and_string())
+@example(case=_catalan_grammar(260))
+def test_inside_outside_matches_reference_bit_for_bit(case):
+    g, x = case
+    assert repr(inside_outside(g, x)) == repr(inside_outside_reference(g, x))
 
 
 def test_cll_unambiguous_is_zero(tiny_corpus):
