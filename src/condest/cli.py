@@ -387,13 +387,13 @@ def _cmd_tag(args):
 
 
 def _cmd_train_sr(args):
+    if args.flavor == "cond" and not args.heldout:
+        raise ConfigError("--flavor cond requires --heldout")
     rules = args.head_rules or trees.HeadRules()
     train = _read_binarized(args.train, rules)
     if args.flavor == "joint":
         model = shiftreduce.estimate_joint(train)
     else:
-        if not args.heldout:
-            raise ConfigError("--flavor cond requires --heldout")
         model = shiftreduce.estimate_conditional(
             train, _read_binarized(args.heldout, rules))
     shiftreduce.save_sr(model, args.output)

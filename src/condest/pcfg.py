@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import modelfile
-from .trees import Tree, tree_yield
+from .trees import Tree, postorder, tree_yield
 
 log = logging.getLogger(__name__)
 
@@ -106,16 +106,13 @@ class AscentConfig:
 
 
 def tree_productions(t):
-    """Usage counts of productions in a single tree."""
+    """Usage counts of productions in a single tree, keyed in reverse
+    post-order: that order fixes the sum order of ``tree_log_prob``."""
     out = defaultdict(int)
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf():
-            continue
-        rule = Production(node.label, tuple(c.label for c in node.children))
-        out[rule] += 1
-        stack.extend(node.children)
+    for node in reversed(postorder(t)):
+        if node.children:
+            out[Production(node.label,
+                           tuple(c.label for c in node.children))] += 1
     return out
 
 
@@ -360,8 +357,8 @@ class _Treebank:
     distinct tree ``tree_ids[sid]`` and yield ``yield_ids[sid]``, both
     numbered in order of first appearance.  A tree is keyed by its rule
     counts in the order ``tree_log_prob`` sums them, so equal keys score
-    equal bits; trees with one key may still differ in yield.  No ``Tree``
-    is hashed: its hash recurses."""
+    equal bits; trees with one key may still differ in yield.  A ``Tree``
+    is unhashable, so its rule counts stand in for it."""
 
     def __init__(self, corpus):
         trees, yields = {}, {}

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from . import modelfile
 from .interp import CondTable, InterpolatedCondDist, fit_interpolation
-from .trees import Tree, debinarize, tree_yield
+from .trees import Tree, debinarize, postorder, tree_yield
 
 log = logging.getLogger(__name__)
 
@@ -66,18 +66,13 @@ def oracle_moves(t):
     """
     kinds = {arity: kind for kind, arity in ARITY.items()}
     out = []
-
-    def walk(node):
+    for node in postorder(t):
         kind = kinds.get(len(node.children))
         if kind is None:
             raise ParserError(
                 "node %r has %d children; binarize first"
                 % (node.label, len(node.children)))
-        for child in node.children:
-            walk(child)
         out.append(Move(kind, node.label))
-
-    walk(t)
     out.append(shift(STAR))
     return out
 

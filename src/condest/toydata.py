@@ -70,37 +70,34 @@ _SR_SAFE = {
     "VP": [(("V", "NP"), 0.5), (("V",), 0.5)],
     "PP": [(("P", "NP"), 1.0)],
 }
-_SR_LEAF = {
-    "NP": [(("N",), 1.0)],
-    "VP": [(("V",), 1.0)],
-}
+_SR_LEAF = {**_SR_SAFE,
+            "NP": [(("N",), 1.0)],
+            "VP": [(("V",), 1.0)]}
 
 
-def _sample_tree(rng, label, depth):
-    rules = _SR_RULES
-    if depth > 8:
-        rules = {**_SR_SAFE, **_SR_LEAF}
-    elif depth > 5:
-        rules = _SR_SAFE
-    options = rules.get(label)
-    if options is None:
-        return Tree(label)
-    r = rng.random()
-    acc = 0.0
-    rhs = options[-1][0]
-    for cand, p in options:
-        acc += p
-        if r < acc:
-            rhs = cand
-            break
-    return Tree(label, [_sample_tree(rng, c, depth + 1) for c in rhs])
+def _sample_tree(rng, label):
+    """Expand ``label`` top-down, children left to right, on an explicit
+    stack; then build the tree bottom-up from its pre-order (label,
+    arity) list."""
+    todo, spine = [(label, 0)], []
+    while todo:
+        label, depth = todo.pop()
+        rules = (_SR_RULES if depth <= 5 else _SR_SAFE if depth <= 8
+                 else _SR_LEAF)
+        rhs = _pick(rng, rules[label]) if label in rules else ()
+        spine.append((label, len(rhs)))
+        todo += [(child, depth + 1) for child in reversed(rhs)]
+    built = []   # finished subtrees, leftmost child on top
+    for label, arity in reversed(spine):
+        built.append(Tree(label, [built.pop() for _ in range(arity)]))
+    return built[0]
 
 
 def sr_treebank(seed=0, n=200, max_len=12):
     rng = random.Random(seed)
     trees = []
     while len(trees) < n:
-        t = _sample_tree(rng, "S", 0)
+        t = _sample_tree(rng, "S")
         if len(tree_yield(t)) <= max_len:
             trees.append(t)
     return Corpus(trees)
@@ -129,10 +126,10 @@ _HMM_EMIT = {
 }
 
 
-def _pick(rng, dist):
+def _pick(rng, items):
+    """What one uniform draw picks from (choice, probability) items."""
     r = rng.random()
     acc = 0.0
-    items = sorted(dist.items())
     for k, p in items:
         acc += p
         if r < acc:
@@ -146,11 +143,11 @@ def hmm_corpus(seed=0, n=300):
     for _ in range(n):
         m = rng.randint(3, 10)
         tags, words = [], []
-        t = _pick(rng, _HMM_START)
+        t = _pick(rng, sorted(_HMM_START.items()))
         for _j in range(m):
             tags.append(t)
-            words.append(_pick(rng, _HMM_EMIT[t]))
-            t = _pick(rng, _HMM_TRANS[t])
+            words.append(_pick(rng, sorted(_HMM_EMIT[t].items())))
+            t = _pick(rng, sorted(_HMM_TRANS[t].items()))
         sentences.append((tuple(words), tuple(tags)))
     return TaggedCorpus(sentences)
 

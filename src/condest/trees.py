@@ -29,28 +29,43 @@ class Tree:
         return not self.children
 
     def __eq__(self, other):
+        """Same labels and arities in post-order, which fix a tree.  Trees
+        are unhashable."""
         if not isinstance(other, Tree):
             return NotImplemented
-        return self.label == other.label and self.children == other.children
-
-    def __hash__(self):
-        return hash((self.label, self.children))
+        return [(n.label, len(n.children)) for n in postorder(self)] == [
+            (n.label, len(n.children)) for n in postorder(other)]
 
     def __repr__(self):
         return "Tree(%r)" % (write_tree(self),)
 
 
-def tree_yield(t):
-    """Left-to-right sequence of leaf labels."""
-    out = []
-    stack = [t]
+def postorder(t):
+    """Every node of t, children before their parent and siblings left to
+    right.  The tree transforms all walk through it: an explicit stack, so
+    a tree of any depth is walked."""
+    out, stack = [], [t]
     while stack:
         node = stack.pop()
-        if node.is_leaf():
-            out.append(node.label)
-        else:
-            stack.extend(reversed(node.children))
+        out.append(node)
+        stack.extend(node.children)
+    out.reverse()
     return out
+
+
+def fold(t, combine):
+    """Bottom-up value of t: ``combine(node, values)`` receives the values
+    of node's children, left to right (empty for a leaf)."""
+    values = []
+    for node in postorder(t):
+        cut = len(values) - len(node.children)
+        values[cut:] = [combine(node, values[cut:])]
+    return values[0]
+
+
+def tree_yield(t):
+    """Left-to-right sequence of leaf labels."""
+    return [node.label for node in postorder(t) if node.is_leaf()]
 
 
 def write_tree(t):
@@ -141,16 +156,18 @@ def strip_lexical(t):
     bearing the preterminal label.  Lexical items are discarded."""
     if t.is_leaf():
         raise TreebankError("cannot strip a bare leaf %r" % t.label)
-    if len(t.children) == 1 and t.children[0].is_leaf():
-        return Tree(t.label)
-    kids = []
-    for c in t.children:
-        if c.is_leaf():
-            raise TreebankError(
-                "leaf %r under %r has siblings; not a preterminal"
-                % (c.label, t.label))
-        kids.append(strip_lexical(c))
-    return Tree(t.label, kids)
+
+    def strip(node, kids):   # a leaf's value is None
+        if kids == [None]:
+            return Tree(node.label)
+        for c in node.children:
+            if c.is_leaf():
+                raise TreebankError(
+                    "leaf %r under %r has siblings; not a preterminal"
+                    % (c.label, node.label))
+        return Tree(node.label, kids) if kids else None
+
+    return fold(t, strip)
 
 
 class HeadRules:
@@ -220,41 +237,35 @@ def binarize(t, rules=None):
     """
     if rules is None:
         rules = HeadRules()
-    if MARKER in t.label:
-        raise TreebankError("label %r contains the binarization marker %r"
-                            % (t.label, MARKER))
-    if t.is_leaf():
-        return t
-    kids = [binarize(c, rules) for c in t.children]
-    n = len(kids)
-    if n <= 2:
-        return Tree(t.label, kids)
-    h = rules.head_index(t.label, [c.label for c in t.children])
-    cur = kids[h]
-    for j in range(h + 1, n):
-        cur = Tree(cur.label + MARKER + "2", (cur, kids[j]))
-    for j in range(h - 1, -1, -1):
-        cur = Tree(cur.label + MARKER + "1", (kids[j], cur))
-    return Tree(t.label, cur.children)
 
+    def join(node, kids):
+        if MARKER in node.label:
+            raise TreebankError("label %r contains the binarization marker %r"
+                                % (node.label, MARKER))
+        n = len(kids)
+        if n <= 2:
+            return Tree(node.label, kids) if kids else node
+        h = rules.head_index(node.label, [c.label for c in node.children])
+        cur = kids[h]
+        for j in range(h + 1, n):
+            cur = Tree(cur.label + MARKER + "2", (cur, kids[j]))
+        for j in range(h - 1, -1, -1):
+            cur = Tree(cur.label + MARKER + "1", (kids[j], cur))
+        return Tree(node.label, cur.children)
 
-def _is_binarization_label(label):
-    return label.endswith(MARKER + "1") or label.endswith(MARKER + "2")
+    return fold(t, join)
 
 
 def debinarize(t):
-    """Splice out every node introduced by ``binarize`` (inverse transform)."""
-    if t.is_leaf():
-        return t
-    kids = []
-    for c in t.children:
-        _debinarize_into(c, kids)
-    return Tree(t.label, kids)
+    """Splice out every node introduced by ``binarize`` (inverse transform).
+    Each node's value is the list of trees it leaves in its parent."""
 
+    def splice(node, parts):
+        kids = [k for part in parts for k in part]
+        if not kids:
+            return [node]
+        if node is t or not node.label.endswith((MARKER + "1", MARKER + "2")):
+            return [Tree(node.label, kids)]
+        return kids
 
-def _debinarize_into(node, out):
-    if not node.is_leaf() and _is_binarization_label(node.label):
-        for c in node.children:
-            _debinarize_into(c, out)
-    else:
-        out.append(debinarize(node))
+    return fold(t, splice)[0]

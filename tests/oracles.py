@@ -20,9 +20,10 @@ from condest.interp import InterpolatedCondDist, bucket_id
 from condest.pcfg import (NEG_INF, ZERO_EXP, EstimationError, Pcfg,
                           Production, SentenceExpectations, inside_outside,
                           tree_log_prob, tree_productions)
-from condest.shiftreduce import (ARITY, SHIFT, STAR, BeamConfig, ParserError,
-                                 shift, tree_from_moves)
-from condest.trees import Tree, tree_yield
+from condest.shiftreduce import (ARITY, SHIFT, STAR, BeamConfig, Move,
+                                 ParserError, shift, tree_from_moves)
+from condest.trees import (MARKER, HeadRules, Tree, TreebankError,
+                           tree_yield)
 
 
 # ---------------------------------------------------------------------------
@@ -774,6 +775,83 @@ def brackets_reference(t):
         return j
 
     walk(t, 0)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Tree transforms by recursion, one or two frames per tree level.  They
+# check each node before its children, so on a tree with several faults
+# they may name another node than the post-order walk does.
+
+def strip_lexical_reference(t):
+    if t.is_leaf():
+        raise TreebankError("cannot strip a bare leaf %r" % t.label)
+    if len(t.children) == 1 and t.children[0].is_leaf():
+        return Tree(t.label)
+    kids = []
+    for c in t.children:
+        if c.is_leaf():
+            raise TreebankError(
+                "leaf %r under %r has siblings; not a preterminal"
+                % (c.label, t.label))
+        kids.append(strip_lexical_reference(c))
+    return Tree(t.label, kids)
+
+
+def binarize_reference(t, rules=None):
+    if rules is None:
+        rules = HeadRules()
+    if MARKER in t.label:
+        raise TreebankError("label %r contains the binarization marker %r"
+                            % (t.label, MARKER))
+    if t.is_leaf():
+        return t
+    kids = [binarize_reference(c, rules) for c in t.children]
+    n = len(kids)
+    if n <= 2:
+        return Tree(t.label, kids)
+    h = rules.head_index(t.label, [c.label for c in t.children])
+    cur = kids[h]
+    for j in range(h + 1, n):
+        cur = Tree(cur.label + MARKER + "2", (cur, kids[j]))
+    for j in range(h - 1, -1, -1):
+        cur = Tree(cur.label + MARKER + "1", (kids[j], cur))
+    return Tree(t.label, cur.children)
+
+
+def debinarize_reference(t):
+    def splice_into(node, out):
+        if not node.is_leaf() and node.label.endswith((MARKER + "1",
+                                                       MARKER + "2")):
+            for c in node.children:
+                splice_into(c, out)
+        else:
+            out.append(debinarize_reference(node))
+
+    if t.is_leaf():
+        return t
+    kids = []
+    for c in t.children:
+        splice_into(c, kids)
+    return Tree(t.label, kids)
+
+
+def oracle_moves_reference(t):
+    kinds = {arity: kind for kind, arity in ARITY.items()}
+    out = []
+
+    def walk(node):
+        kind = kinds.get(len(node.children))
+        if kind is None:
+            raise ParserError(
+                "node %r has %d children; binarize first"
+                % (node.label, len(node.children)))
+        for child in node.children:
+            walk(child)
+        out.append(Move(kind, node.label))
+
+    walk(t)
+    out.append(shift(STAR))
     return out
 
 

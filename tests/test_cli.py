@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -351,6 +353,46 @@ def test_eval_deep_trees_exits_0(tmp_path, capsys):
     assert "f\t1.000000\n" in capsys.readouterr().out
 
 
+# One tree 1,500 levels deep, whose ternary X nodes binarize into about
+# 3,000 levels, and two short test sentences.
+DEEP_SR_TREE = "(S " + "(X a b " * 1498 + "(Y a)" + ")" * 1499 + "\n"
+SHORT_SR_TREES = "(S (X a b (Y a)))\n(S (Y a))\n"
+
+
+def _condest(*argv):
+    """Run the condest command in a fresh interpreter, at its default
+    recursion limit."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    return subprocess.run([sys.executable, "-m", "condest.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("flavor", ["joint", "cond"])
+def test_train_sr_deep_tree_exits_0(tmp_path, flavor):
+    deep = _write(tmp_path / "deep.mrg", DEEP_SR_TREE)
+    model = tmp_path / "sr.txt"
+    proc = _condest("train-sr", "--train", deep, "--heldout", deep,
+                    "--flavor", flavor, "-o", str(model))
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert model.exists()
+
+
+def test_sr_experiment_deep_tree_exits_0(tmp_path):
+    deep = _write(tmp_path / "deep.mrg", DEEP_SR_TREE)
+    test = _write(tmp_path / "test.mrg", SHORT_SR_TREES)
+    cfg = _write(tmp_path / "deep.cfg", (
+        "[experiment]\npipeline = sr-joint-vs-cond\noutput_dir = %s\n"
+        "[corpus]\ntrain = %s\nheldout = %s\ntest = %s\n")
+        % (tmp_path / "out", deep, deep, test))
+    proc = _condest("experiment", cfg)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert (tmp_path / "out" / "report.tsv").exists()
+
+
 def test_bootstrap_on_empty_corpora(tmp_path, capsys):
     empty = _write(tmp_path / "empty.mrg", "")
     assert cli.main(["bootstrap", "--gold", empty, "--a", empty,
@@ -453,6 +495,22 @@ def test_missing_heldout_exits_2(data_dir, tmp_path, capsys, argv,
                      *rest, "-o", str(out)]) == 2
     assert capsys.readouterr().err == "config error: %s\n" % diagnostic
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,diagnostic", [
+    ("train-tagger --variant conditional",
+     "--variant conditional requires --heldout"),
+    ("train-sr --flavor cond", "--flavor cond requires --heldout"),
+], ids=["train-tagger", "train-sr"])
+def test_missing_heldout_is_checked_before_reading(tmp_path, capsys, argv,
+                                                  diagnostic):
+    """The usage error comes before the train file is read: a malformed
+    train file still exits 2 with the flag's message."""
+    train = _write(tmp_path / "train.txt", "(S (A a)\n")
+    command, *rest = argv.split()
+    assert cli.main([command, "--train", train, *rest,
+                     "-o", str(tmp_path / "model.txt")]) == 2
+    assert capsys.readouterr().err == "config error: %s\n" % diagnostic
 
 
 def test_experiment_validate_only(data_dir, tmp_path):

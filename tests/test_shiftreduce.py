@@ -14,7 +14,8 @@ from condest.shiftreduce import (REDUCE1, REDUCE2, SHIFT, STAR, BeamConfig,
                                  parse_corpus, parse_log_prob, reduce1,
                                  reduce2, replay, save_sr, shift,
                                  tree_from_moves)
-from condest.trees import Corpus, binarize, parse_trees, tree_yield
+from condest.trees import (Corpus, Tree, binarize, debinarize, parse_trees,
+                           tree_yield, write_tree)
 from oracles import (apply_move, beam_parse_reference, brute_sr_best,
                      enumerate_sr_parses, random_binary_tree,
                      random_nary_tree, replay_reference, stack_top2)
@@ -73,6 +74,28 @@ def test_oracle_round_trip_random():
         assert tree_from_moves(moves) == tree
         assert [m.label for m in moves if m.kind == "shift"] == \
             leaves + [STAR]
+
+
+def _deep_tree(bottom="a"):
+    """(S (X a b (X a b ... (Y bottom)))), 1,500 levels deep."""
+    tree = Tree("Y", (Tree(bottom),))
+    for _ in range(1498):
+        tree = Tree("X", (Tree("a"), Tree("b"), tree))
+    return Tree("S", (tree,))
+
+
+def test_deep_tree_transforms():
+    # binarize, debinarize, the oracle and == walk a tree of any depth at
+    # the default recursion limit
+    deep = _deep_tree()
+    assert deep == parse_trees(write_tree(deep))[0]
+    assert deep != _deep_tree(bottom="b")
+    b = binarize(deep)
+    assert b != deep and debinarize(b) == deep
+    moves = oracle_moves(b)
+    assert [m.label for m in moves if m.kind == SHIFT] == \
+        tree_yield(deep) + [STAR]
+    assert tree_from_moves(moves) == b
 
 
 @pytest.fixture

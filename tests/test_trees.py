@@ -1,12 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from condest.trees import (HeadRules, Tree, TreebankError, binarize,
+from condest.shiftreduce import oracle_moves
+from condest.trees import (MARKER, HeadRules, Tree, TreebankError, binarize,
                            debinarize, parse_trees, read_bracketed,
                            strip_lexical, tree_yield, write_bracketed,
                            write_tree)
-from oracles import random_nary_tree
+from oracles import (binarize_reference, debinarize_reference,
+                     oracle_moves_reference, random_nary_tree,
+                     strip_lexical_reference)
 
 
 def t(s):
@@ -157,3 +162,68 @@ def test_head_rules_from_text():
 def test_head_rules_bad_direction():
     with pytest.raises(TreebankError):
         HeadRules.from_text("NP: sideways N")
+
+
+def _lexicalize(tree):
+    """Each leaf under a preterminal of its own: strip_lexical's input."""
+    if tree.is_leaf():
+        return Tree(tree.label.upper(), (tree,))
+    return Tree(tree.label, [_lexicalize(c) for c in tree.children])
+
+
+def _same_outcome(got, want, tree, offenders):
+    """``got(tree)`` returns what ``want(tree)`` returns, or raises the same
+    exception class; the same message too when one node offends, since
+    the references check parents first and the walk children first."""
+    try:
+        expected = want(tree)
+    except ValueError as e:   # TreebankError, ParserError
+        with pytest.raises(type(e)) as raised:
+            got(tree)
+        assert offenders(tree) > 0
+        if offenders(tree) == 1:
+            assert str(raised.value) == str(e)
+        return None
+    result = got(tree)
+    assert result == expected
+    if isinstance(result, Tree):
+        assert write_tree(result) == write_tree(expected)
+    return result
+
+
+def _marked(tree):
+    return sum(MARKER in n.label for n in _walk(tree))
+
+
+def _unstrippable(tree):
+    return tree.is_leaf() + sum(
+        len(n.children) > 1 and any(c.is_leaf() for c in n.children)
+        for n in _walk(tree))
+
+
+def _wide(tree):
+    return sum(len(n.children) > 2 for n in _walk(tree))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), depth=st.integers(0, 5),
+       labels=st.sampled_from([("S", "X", "Y", "Z"), ("S", "X^1", "Y", "Z"),
+                               ("Z^2", "X", "Y^1", "Y"), ("S", "X^q", "Y")]),
+       terminals=st.sampled_from(["abc", ("a", "b^1")]),
+       lexical=st.booleans())
+def test_transforms_match_recursive_references(seed, depth, labels,
+                                               terminals, lexical):
+    # random trees, some with marker labels or unlexicalized leaves; each
+    # walk-based transform agrees with its recursive reference
+    tree = random_nary_tree(random.Random(seed), labels=labels,
+                            terminals=terminals, max_depth=depth)
+    if lexical:
+        tree = _lexicalize(tree)
+    _same_outcome(strip_lexical, strip_lexical_reference, tree, _unstrippable)
+    _same_outcome(debinarize, debinarize_reference, tree, lambda _t: 0)
+    _same_outcome(oracle_moves, oracle_moves_reference, tree, _wide)
+    b = _same_outcome(binarize, binarize_reference, tree, _marked)
+    if b is not None:
+        assert debinarize(b) == tree
+        _same_outcome(debinarize, debinarize_reference, b, lambda _t: 0)
+        _same_outcome(oracle_moves, oracle_moves_reference, b, _wide)
