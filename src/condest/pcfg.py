@@ -13,6 +13,7 @@ import math
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -42,8 +43,10 @@ class Pcfg:
     """Production set with per-rule weights, normalized per left-hand side."""
 
     def __init__(self, start, theta):
+        self.rules = tuple(sorted(theta))   # a rule's id: its place here
         by_lhs = defaultdict(float)
-        for rule, w in sorted(theta.items()):   # sums not in hash order
+        for rule in self.rules:   # sums not in hash order
+            w = theta[rule]
             if not math.isfinite(w):
                 raise EstimationError("non-finite weight for %s" % (rule,))
             if w < 0:
@@ -59,12 +62,11 @@ class Pcfg:
         # already that tight is kept, so a saved grammar reloads bit for bit.
         scale = {lhs: 1.0 if abs(tot - 1.0) <= 1e-12 else tot
                  for lhs, tot in by_lhs.items()}
-        self.theta = {r: w / scale[r.lhs] for r, w in theta.items()}
+        self.theta = {r: theta[r] / scale[r.lhs] for r in self.rules}
         self.start = start
         self.nonterminals = frozenset(by_lhs)
         if start not in self.nonterminals:
             raise EstimationError("start symbol %r has no rules" % (start,))
-        self.rules = frozenset(self.theta)
         self.source = None   # the file of a loaded grammar, for errors
         self._factored = None
 
@@ -84,14 +86,24 @@ class RuleCounts:
     start: str = None
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class SentenceExpectations:
+    """A yield's log marginal; ``counts[k]`` is ``rules[k]``'s expectation."""
     log_marginal: float
-    expected_counts: dict
+    counts: np.ndarray
+    rules: tuple
 
     @property
     def parsable(self):
         return self.log_marginal > float("-inf")
+
+    @cached_property
+    def expected_counts(self):   # the nonzero counts, keyed by rule
+        return {r: c for r, c in zip(self.rules, self.counts.tolist()) if c}
+
+    def __repr__(self):   # every bit of every count
+        return "SentenceExpectations(%r, %r)" % (
+            self.log_marginal, tuple(self.counts.tolist()))
 
 
 @dataclass
@@ -179,23 +191,23 @@ class _FactoredGrammar:
 
     Symbols: the sorted nonterminals (ids below ``n_nt``), the ``#``
     intermediates of rules longer than two (below ``n_chart``), then the
-    terminals of binary rules.  Rules are index arrays in sorted-rule order;
-    ``rules`` names the rule of each binary, unary and lexical slot."""
+    terminals of binary rules.  Rules are index arrays in rule-id order;
+    ``slot[k]`` is rule k's place among the binary, unary and lexical ones."""
 
     def __init__(self, g):
         lexical, unary, binary, inter = [], [], [], []
-        for ridx, (rule, w) in enumerate(sorted(g.theta.items())):
-            lhs, rhs = rule
+        for ridx, rule in enumerate(g.rules):
+            (lhs, rhs), w = rule, g.theta[rule]
             if len(rhs) == 1:
                 (unary if g.is_nonterminal(rhs[0]) else lexical).append(
-                    (lhs, rhs[0], w, rule))
+                    (lhs, rhs[0], w, ridx))
                 continue
             prev = rhs[0]
             for i in range(2, len(rhs)):
                 inter.append(("#", ridx, i))
-                binary.append((inter[-1], prev, rhs[i - 1], 1.0, None))
+                binary.append((inter[-1], prev, rhs[i - 1], 1.0, -1))
                 prev = inter[-1]
-            binary.append((lhs, prev, rhs[-1], w, rule))
+            binary.append((lhs, prev, rhs[-1], w, ridx))
         nts = sorted(g.nonterminals)
         terms = sorted({s for b in binary for s in b[1:3]}
                        - set(nts) - set(inter))
@@ -205,12 +217,13 @@ class _FactoredGrammar:
         ids = {s: i for i, s in enumerate(self.symbols)}
         self.start = ids[g.start]
         # a word's entries: its lexical rules, or an entry onto its own id
-        lexical = sorted(lexical + [(t, t, 1.0, None) for t in terms],
+        lexical = sorted(lexical + [(t, t, 1.0, -1) for t in terms],
                          key=lambda r: r[1])
         self.lexicon = {}   # word -> (start, end) of its entries
         for k, r in enumerate(lexical):
             self.lexicon[r[1]] = (self.lexicon.get(r[1], (k,))[0], k + 1)
-        self.rules = [r[-1] for r in binary + unary + lexical]
+        owner = [r[-1] for r in binary + unary + lexical]   # rule id, or -1
+        self.slot = np.argsort(owner)[owner.count(-1):]
         nb = len(binary)
         self.parent, self.left, self.right, self.u_lhs, self.u_child = (
             np.array([ids[r[f]] for r in rules], dtype=np.int64)
@@ -307,7 +320,7 @@ def inside_outside(g, x):
             base.reshape(m, -1), closure, tops[w])
     zm, ze = inside[n, 0, fg.start], int(exps[n, 0])
     if zm <= 0.0:
-        return SentenceExpectations(NEG_INF, {})
+        return SentenceExpectations(NEG_INF, np.zeros(len(g.rules)), g.rules)
     z = math.ldexp(zm, ze)
     log_z = (math.log(z) if z >= sys.float_info.min
              else math.log(zm) + ze * math.log(2.0))
@@ -316,7 +329,7 @@ def inside_outside(g, x):
     # and closure it is gv: times a rule's term, that rule's expected count.
     grad = np.zeros_like(inside)
     grad[n, 0, fg.start] = 1.0 / zm
-    expected = np.zeros(len(fg.rules))
+    expected = np.zeros(nb + nu + len(fg.lex_lhs))   # by slot
     for w in range(n, 0, -1):
         m = n + 1 - w
         shift = (exps[w, :m] - tops[w])[:, None]
@@ -338,10 +351,7 @@ def inside_outside(g, x):
         grad_right += gl @ fg.to_right
     expected[nb + nu:] += np.bincount(
         k, fg.lex_weight[k] * gv[pos, fg.lex_lhs[k]], len(fg.lex_lhs))
-    nz = np.flatnonzero(expected)
-    return SentenceExpectations(log_z, {
-        fg.rules[i]: c for i, c in zip(nz.tolist(), expected[nz].tolist())
-        if fg.rules[i] is not None})
+    return SentenceExpectations(log_z, expected[fg.slot], g.rules)
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +384,12 @@ class _Treebank:
         self.yields = list(yields)
 
     def stats(self, g):
-        """``corpus_stats`` of the treebank under ``g``: one
-        ``tree_log_prob`` per distinct tree and one ``inside_outside`` per
-        distinct yield, at its first sentence; the sums still add one term
-        per sentence, in corpus order."""
+        """``corpus_stats`` of the treebank under ``g``, its expected counts
+        an array by rule id: one ``tree_log_prob`` per distinct tree and one
+        ``inside_outside`` per distinct yield, at its first sentence; the
+        sums still add one term per sentence, in corpus order."""
         tlps, exps = [None] * len(self.trees), [None] * len(self.yields)
         tlp_sum = marg_sum = 0.0
-        expected = defaultdict(float)
         for sid, (tid, yid) in enumerate(zip(self.tree_ids, self.yield_ids)):
             if tlps[tid] is None:
                 tlps[tid] = tree_log_prob(g, self.trees[tid])
@@ -394,49 +403,43 @@ class _Treebank:
                         "yield of tree %r is unparsable" % (sid,))
             tlp_sum += tlps[tid]
             marg_sum += exps[yid].log_marginal
-            for r, c in exps[yid].expected_counts.items():
-                expected[r] += c
+        rows = [exps[yid].counts for yid in self.yield_ids]
+        expected = np.cumsum([np.zeros(len(g.rules))] + rows, axis=0)[-1]
+        if not np.isfinite(expected).all():
+            raise EstimationError("yield of tree %d has non-finite expected "
+                                  "counts" % np.isfinite(rows).all(1).argmin())
         return tlp_sum, marg_sum, expected
 
 
 def corpus_stats(g, corpus):
     """(sum of tree log probabilities, sum of yield log marginals, summed
-    expected rule counts) of a treebank: the terms of the conditional
-    log-likelihood and its gradient."""
-    return _Treebank(corpus).stats(g)
-
-
-def _direction(g, observed, expected):
-    """Observed minus expected count of each rule: theta times the CLL
-    gradient, the direction an MCLE step takes."""
-    return {r: observed.get(r, 0.0) - expected.get(r, 0.0) for r in g.rules}
+    expected rule counts, the nonzero ones keyed by rule) of a treebank: the
+    terms of the conditional log-likelihood and its gradient."""
+    tlp, marg, expected = _Treebank(corpus).stats(g)
+    return tlp, marg, {r: c for r, c in zip(g.rules, expected.tolist()) if c}
 
 
 def cll_gradient(g, corpus):
-    """Gradient of the conditional log-likelihood with respect to theta."""
-    _, _, expected = corpus_stats(g, corpus)
-    observed = extract_counts(corpus).counts
-    grad = {}
-    for r, diff in _direction(g, observed, expected).items():
-        theta = g.theta[r]
-        if theta <= 0.0 and observed.get(r, 0.0) > 0.0:
-            raise EstimationError("zero-probability rule %s has count" % (r,))
-        grad[r] = diff / max(theta, THETA_FLOOR)
-    return grad
+    """Gradient of the conditional log-likelihood with respect to theta (a
+    rule the corpus uses has a positive weight, or the pass refuses it)."""
+    _, _, expected = _Treebank(corpus).stats(g)
+    counts = extract_counts(corpus).counts
+    observed = np.array([counts.get(r, 0.0) for r in g.rules])
+    theta = np.maximum([g.theta[r] for r in g.rules], THETA_FLOOR)
+    return dict(zip(g.rules, ((observed - expected) / theta).tolist()))
 
 
 def _eg_step(g, direction, eta):
     """Exponentiated-gradient step theta * exp(eta * direction), renormalized
-    per nonterminal (direction = theta * grad = observed - expected)."""
-    exps = {r: eta * direction.get(r, 0.0) for r in g.rules}
-    mx = defaultdict(lambda: float("-inf"))
-    for r, e in exps.items():
-        mx[r.lhs] = max(mx[r.lhs], e)
-    raw = {r: g.theta[r] * math.exp(exps[r] - mx[r.lhs]) for r in g.rules}
-    totals = defaultdict(float)
-    for r, w in sorted(raw.items()):   # sums not in hash order
-        totals[r.lhs] += w
-    return Pcfg(g.start, {r: w / totals[r.lhs] for r, w in raw.items()})
+    per nonterminal over its run of rule ids, summed left to right
+    (direction = theta * grad = observed - expected, by rule id)."""
+    _, starts, run = np.unique([r.lhs for r in g.rules], return_index=True,
+                               return_inverse=True)
+    e = eta * direction
+    e = (e - np.maximum.reduceat(e, starts)[run]).tolist()
+    raw = np.array([g.theta[r] * math.exp(v) for r, v in zip(g.rules, e)])
+    totals = np.bincount(run, raw)   # adds in rule order
+    return Pcfg(g.start, dict(zip(g.rules, (raw / totals[run]).tolist())))
 
 
 def estimate_mcle(corpus, init, cfg=None, trace=None):
@@ -447,7 +450,8 @@ def estimate_mcle(corpus, init, cfg=None, trace=None):
     ``trace`` if given) is monotone non-decreasing.
     """
     cfg = cfg or AscentConfig()
-    observed = extract_counts(corpus).counts
+    counts = extract_counts(corpus).counts
+    observed = np.array([counts.get(r, 0.0) for r in init.rules])
     treebank = _Treebank(corpus)
     g = init
     tlp, marg, expected = treebank.stats(g)
@@ -455,7 +459,7 @@ def estimate_mcle(corpus, init, cfg=None, trace=None):
     if trace is not None:
         trace.append(cll)
     for _ in range(cfg.max_iters):
-        direction = _direction(g, observed, expected)
+        direction = observed - expected
         eta = cfg.initial_step
         for _ in range(MAX_SHRINKS):
             cand = _eg_step(g, direction, eta)
@@ -563,8 +567,7 @@ GRAMMAR_SCHEMA = {"meta": {"start": str},
 def save_grammar(g, path):
     modelfile.write(path, [
         ("meta", [("start", g.start)]),
-        ("rules", [(r.lhs, " ".join(r.rhs), g.theta[r])
-                   for r in sorted(g.theta)])])
+        ("rules", [(r.lhs, " ".join(r.rhs), g.theta[r]) for r in g.rules])])
 
 
 def load_grammar(path):

@@ -5,9 +5,11 @@ products of probabilities, with no dynamic programming, so it can serve as
 a reference for the chart/lattice/beam implementations.
 """
 
+import importlib.util
 import itertools
 import logging
 import math
+import os
 import sys
 import types
 from collections import Counter, defaultdict, deque
@@ -17,13 +19,28 @@ import numpy as np
 
 from condest.hmm import END, UNK, UNK_THRESHOLD, TaggingError
 from condest.interp import InterpolatedCondDist, bucket_id
-from condest.pcfg import (NEG_INF, ZERO_EXP, EstimationError, Pcfg,
-                          Production, SentenceExpectations, inside_outside,
-                          tree_log_prob, tree_productions)
+from condest.pcfg import (LINE_SEARCH_SHRINK, MAX_SHRINKS, NEG_INF, ZERO_EXP,
+                          AscentConfig, EstimationError, Pcfg, Production,
+                          SentenceExpectations, extract_counts,
+                          inside_outside, tree_log_prob, tree_productions)
 from condest.shiftreduce import (ARITY, SHIFT, STAR, BeamConfig, Move,
                                  ParserError, shift, tree_from_moves)
 from condest.trees import (MARKER, HeadRules, Tree, TreebankError,
                            tree_yield)
+
+
+BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                     "bench")
+
+
+def bench_module(name):
+    """``bench/<name>.py`` as a module: the benchmark's generators and jobs
+    (``bench/`` is not a package)."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_" + name, os.path.join(BENCH, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +230,68 @@ def corpus_stats_reference(g, corpus):
 
 
 # ---------------------------------------------------------------------------
+# PCFG: MCLE gradient ascent over Production-keyed dicts, as it was before
+# counts travelled as arrays by rule id, kept verbatim as a bit-for-bit
+# reference on the per-sentence corpus pass.
+
+def _direction(g, observed, expected):
+    """Observed minus expected count of each rule: theta times the CLL
+    gradient, the direction an MCLE step takes."""
+    return {r: observed.get(r, 0.0) - expected.get(r, 0.0) for r in g.rules}
+
+
+def _eg_step(g, direction, eta):
+    """Exponentiated-gradient step theta * exp(eta * direction), renormalized
+    per nonterminal (direction = theta * grad = observed - expected)."""
+    exps = {r: eta * direction.get(r, 0.0) for r in g.rules}
+    mx = defaultdict(lambda: float("-inf"))
+    for r, e in exps.items():
+        mx[r.lhs] = max(mx[r.lhs], e)
+    raw = {r: g.theta[r] * math.exp(exps[r] - mx[r.lhs]) for r in g.rules}
+    totals = defaultdict(float)
+    for r, w in sorted(raw.items()):   # sums not in hash order
+        totals[r.lhs] += w
+    return Pcfg(g.start, {r: w / totals[r.lhs] for r, w in raw.items()})
+
+
+def estimate_mcle_reference(corpus, init, cfg=None, trace=None):
+    """Maximize conditional likelihood by gradient ascent on the simplex.
+
+    Starts from ``init`` (normally the MLE grammar).  Uses a multiplicative
+    update with backtracking line search, so the CLL trace (appended to
+    ``trace`` if given) is monotone non-decreasing.
+    """
+    cfg = cfg or AscentConfig()
+    observed = extract_counts(corpus).counts
+    g = init
+    tlp, marg, expected = corpus_stats_reference(g, corpus)
+    cll = tlp - marg
+    if trace is not None:
+        trace.append(cll)
+    for _ in range(cfg.max_iters):
+        direction = _direction(g, observed, expected)
+        eta = cfg.initial_step
+        for _ in range(MAX_SHRINKS):
+            cand = _eg_step(g, direction, eta)
+            tlp_c, marg_c, exp_c = corpus_stats_reference(cand, corpus)
+            if tlp_c - marg_c > cll:
+                break
+            eta *= LINE_SEARCH_SHRINK
+        else:
+            break
+        improvement = tlp_c - marg_c - cll
+        g, cll, expected = cand, tlp_c - marg_c, exp_c
+        if trace is not None:
+            trace.append(cll)
+        if improvement < cfg.tol * (abs(cll) + 1e-12):
+            break
+    return g
+
+
+# ---------------------------------------------------------------------------
 # PCFG: the Inside-Outside chart kernel before its per-width work was
-# trimmed, kept verbatim but for its name as a bit-for-bit reference.
+# trimmed, kept verbatim but for its name and its result's shape (counts by
+# rule id) as a bit-for-bit reference.
 
 def _splits(chart, w):
     """Views of the split parts of the width-w spans: left[d - 1, i] is (i,
@@ -267,7 +344,7 @@ def inside_outside_reference(g, x):
             base.reshape(m, -1), fg.closure, top)
     zm, ze = inside[n, 0, fg.start], int(exps[n, 0])
     if zm <= 0.0:
-        return SentenceExpectations(NEG_INF, {})
+        return SentenceExpectations(NEG_INF, np.zeros(len(g.rules)), g.rules)
     z = math.ldexp(zm, ze)
     log_z = (math.log(z) if z >= sys.float_info.min
              else math.log(zm) + ze * math.log(2.0))
@@ -276,7 +353,7 @@ def inside_outside_reference(g, x):
     # and closure it is gv: times a rule's term, that rule's expected count.
     grad = np.zeros_like(inside)
     grad[n, 0, fg.start] = 1.0 / zm
-    expected = np.zeros(len(fg.rules))
+    expected = np.zeros(len(fg.parent) + len(fg.u_lhs) + len(fg.lex_lhs))
     nb, nu = len(fg.parent), len(fg.u_lhs)
     for w in range(n, 0, -1):
         m = n + 1 - w
@@ -298,9 +375,7 @@ def inside_outside_reference(g, x):
         grad_right += (gp * left) @ fg.to_right
     expected[nb + nu:] += np.bincount(
         k, fg.lex_weight[k] * gv[pos, fg.lex_lhs[k]], len(fg.lex_lhs))
-    return SentenceExpectations(log_z, {
-        r: c for r, c in zip(fg.rules, expected.tolist())
-        if r is not None and c != 0.0})
+    return SentenceExpectations(log_z, expected[fg.slot], g.rules)
 
 
 # ---------------------------------------------------------------------------

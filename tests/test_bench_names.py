@@ -5,22 +5,11 @@ experiment configs of the bundled workload (bench/jobs.py) validate.  A
 rename, a pass that stops calling a traced function by name, or a config
 change then fails here instead of in a benchmark run."""
 
-import importlib.util
-import os
-
-BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
-
-
-def _bench_module(name):
-    spec = importlib.util.spec_from_file_location(
-        "bench_" + name, os.path.join(BENCH, name + ".py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from oracles import bench_module
 
 
 def _probes():
-    return _bench_module("probes")
+    return bench_module("probes")
 
 
 def test_probe_targets_resolve():
@@ -76,7 +65,7 @@ def test_bundled_configs_validate(tmp_path):
     from condest import cli, toydata
     data = tmp_path / "data"
     toydata.write_all(str(data))
-    configs = _bench_module("jobs").bundled_configs(str(data), str(tmp_path))
+    configs = bench_module("jobs").bundled_configs(str(data), str(tmp_path))
     assert sorted(configs) == sorted(cli.PIPELINES)
     for path in configs.values():
         assert cli.main(["experiment", path, "--validate"]) == 0, path

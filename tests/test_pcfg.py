@@ -6,8 +6,9 @@ import subprocess
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from condest import pcfg, toydata
@@ -15,9 +16,10 @@ from condest.pcfg import (AscentConfig, EstimationError, Pcfg, Production,
                           cll_gradient, corpus_stats, estimate_mcle,
                           estimate_mle, extract_counts, inside_outside, load_grammar, save_grammar,
                           tree_log_prob, tree_productions, viterbi_parse)
-from condest.trees import Corpus, parse_trees, tree_yield, write_tree
-from oracles import (brute_marginal_and_expectations, corpus_stats_reference,
-                     enumerate_parses, inside_outside_reference,
+from condest.trees import Corpus, Tree, parse_trees, tree_yield, write_tree
+from oracles import (bench_module, brute_marginal_and_expectations,
+                     corpus_stats_reference, enumerate_parses,
+                     estimate_mcle_reference, inside_outside_reference,
                      random_grammar, random_nary_tree, raw_cll,
                      sample_tree_from_grammar, tree_prob)
 
@@ -251,6 +253,13 @@ def test_cll_gradient_zero_at_saturation():
         assert v == pytest.approx(0.0, abs=1e-9)
 
 
+def test_cll_gradient_refuses_a_tree_of_zero_probability(tiny_corpus):
+    g = Pcfg("S", {P("S", "A", "A"): 1.0, P("S", "A", "B"): 0.0,
+                   P("A", "a"): 1.0, P("B", "b"): 1.0})
+    with pytest.raises(EstimationError, match="tree 1 is not derivable"):
+        cll_gradient(g, tiny_corpus)
+
+
 def test_cll_gradient_matches_finite_differences():
     h = 1e-6
     checked = 0
@@ -323,9 +332,9 @@ SHAPES = [t(s) for s in ("(S (X (X a) (X b)) (X a))",
 
 
 def _bits(stats):
-    """The pass's result as text that tells every float bit and key order."""
+    """The pass's result as text that tells every float bit."""
     tlp, marg, expected = stats
-    return repr((tlp, marg, list(expected.items())))
+    return repr((tlp, marg, sorted(expected.items())))
 
 
 def test_shapes_cover_the_pass_cases():
@@ -348,6 +357,41 @@ def test_corpus_pass_matches_reference(seeds, picks):
     g = estimate_mle(extract_counts(corpus))
     assert _bits(corpus_stats(g, corpus)) == _bits(
         corpus_stats_reference(g, corpus))
+
+
+def _a_chain(n):
+    """``(R (A (A a) (A (A a) ...)))`` over n words, built without recursion."""
+    node = Tree("A", [Tree("a")])
+    for _ in range(n - 1):
+        node = Tree("A", [Tree("A", [Tree("a")]), node])
+    return Tree("R", [node])
+
+
+# The unreachable B sets each span's scale, so A's inside values round
+# toward zero on long strings (a known limit of the chart, not fixed): at
+# 130 words the log marginal is finite but the counts are NaN (the
+# RuntimeWarning below), and at 140 the yield reads unparsable.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n, failure", [
+    (128, None), (130, "yield of tree 1 has non-finite expected counts"),
+    (140, "yield of tree 1 is unparsable")])
+def test_non_finite_expected_counts_are_refused(n, failure):
+    g = Pcfg("R", {P("R", "A"): 1.0, P("A", "A", "A"): 0.001,
+                   P("A", "a"): 0.999, P("B", "B", "B"): 0.5,
+                   P("B", "a"): 0.5})
+    corpus = Corpus([_a_chain(2), _a_chain(n), _a_chain(n)])
+    if failure is None:
+        _, marg, expected = corpus_stats(g, corpus)
+        assert math.isfinite(marg)
+        assert all(map(math.isfinite, expected.values()))
+        assert all(map(math.isfinite, cll_gradient(g, corpus).values()))
+        return
+    for call in (lambda: corpus_stats(g, corpus),
+                 lambda: cll_gradient(g, corpus),
+                 lambda: estimate_mcle(corpus, g)):
+        with pytest.raises(EstimationError) as e:
+            call()
+        assert str(e.value) == failure
 
 
 def _failure(stats, g, corpus, caplog):
@@ -397,7 +441,9 @@ def test_bundled_mcle_fit_is_pinned(monkeypatch):
 
         def stats(self, g):
             passes.append(g)
-            return corpus_stats_reference(g, self.corpus)
+            tlp, marg, expected = corpus_stats_reference(g, self.corpus)
+            return tlp, marg, np.array([expected.get(r, 0.0)
+                                        for r in g.rules])
 
     monkeypatch.setattr(pcfg, "_Treebank", ReferencePass)
     ref_trace = []
@@ -405,6 +451,58 @@ def test_bundled_mcle_fit_is_pinned(monkeypatch):
     assert (len(passes), len(trace)) == (43, 8)
     assert repr(trace) == repr(ref_trace)
     assert repr(sorted(g.theta.items())) == repr(sorted(ref.theta.items()))
+
+
+def _fit_matches_reference(corpus, init, cfg=None):
+    """``estimate_mcle`` and ``oracles.estimate_mcle_reference`` give
+    ``repr``-equal traces and grammars; returns the trace."""
+    trace, ref_trace = [], []
+    g = estimate_mcle(corpus, init, cfg, trace=trace)
+    ref = estimate_mcle_reference(corpus, init, cfg, trace=ref_trace)
+    assert repr(trace) == repr(ref_trace)
+    assert repr(sorted(g.theta.items())) == repr(sorted(ref.theta.items()))
+    return trace
+
+
+def test_bundled_mcle_fit_matches_reference():
+    corpus = toydata.pcfg_train_corpus()
+    trace = _fit_matches_reference(corpus, estimate_mle(extract_counts(corpus)))
+    assert len(trace) == 8
+
+
+@pytest.mark.parametrize("seed", [41, 44])
+def test_pcfg_scale_mcle_fit_matches_reference(seed, tmp_path):
+    files, _ = bench_module("gen").gen_pcfg(seed, str(tmp_path))
+    jobs = bench_module("jobs")
+    train = jobs.load(files)["train"]
+    trace = _fit_matches_reference(train, estimate_mle(extract_counts(train)),
+                                   jobs.PCFG_ASCENT)
+    assert len(trace) == jobs.PCFG_ASCENT.max_iters + 1
+
+
+@st.composite
+def mcle_case(draw):
+    """A corpus of 1-8 trees sampled from a random grammar, a starting
+    grammar (the generator or the corpus MLE) and an ascent config whose
+    first step may be too long, so the line search shrinks."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    g, _ = random_grammar(rng, draw(st.integers(2, 4)),
+                          draw(st.integers(6, 14)), unary=draw(st.booleans()))
+    trees = [tree for tree in (sample_tree_from_grammar(g, rng)
+                               for _ in range(draw(st.integers(1, 8))))
+             if tree is not None and len(tree_yield(tree)) <= 8]
+    assume(trees)
+    if draw(st.booleans()):
+        g = estimate_mle(extract_counts(trees))
+    return Corpus(trees), g, AscentConfig(
+        max_iters=draw(st.integers(1, 6)),
+        initial_step=draw(st.sampled_from([0.1, 1.0, 10.0])))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=mcle_case())
+def test_mcle_fit_matches_reference(case):
+    _fit_matches_reference(*case)
 
 
 def test_ascent_config_validation():
