@@ -199,9 +199,21 @@ def _write_predictions(pred, path):
 
 
 def _read_predictions(path):
+    """One tree per line; an empty line is a failed parse (None).  Any
+    other line that is not exactly one tree is refused with its number."""
+    pred = []
     with open(path, encoding="utf-8") as f:
-        lines = [line.strip() for line in f]
-    return [trees.parse_trees(line)[0] if line else None for line in lines]
+        for lineno, line in enumerate(f, 1):
+            try:
+                found = trees.parse_trees(line) if line.strip() else [None]
+                if len(found) != 1:
+                    raise trees.TreebankError("expected one tree, found %d"
+                                              % len(found))
+            except trees.TreebankError as e:
+                raise trees.TreebankError("%s:%d: %s"
+                                          % (path, lineno, e)) from e
+            pred += found
+    return pred
 
 
 def _tag(sentences, model, source, path, what=""):
@@ -335,6 +347,34 @@ PIPELINES = {
 }
 
 
+# Each training command's mode option and its modes, the first the
+# default, and the options that only some modes read: option -> (converter,
+# default, the modes that read it).  A mode needs an option whose default
+# is REQUIRED.
+TRAINING_MODES = {
+    "train-pcfg": ("mode", ("mle", "mcle"), {
+        name: (*spec, {"mcle"})
+        for name, spec in PIPELINES["pcfg-mle-vs-mcle"][1]["pcfg"].items()}),
+    "train-tagger": ("variant", hmm.VARIANTS, {"heldout": (str, REQUIRED, {
+        v for v, (mixture, _e) in hmm.VARIANT_FACTORS.items() if mixture})}),
+    "train-sr": ("flavor", ("joint", "cond"),
+                 {"heldout": (str, REQUIRED, {"cond"})}),
+}
+
+
+def _check_mode(args):
+    """Refuse an option that the chosen mode of a training command does
+    not read, and require one that it needs, before any file is read."""
+    mode, _modes, options = TRAINING_MODES.get(args.command, (None, (), {}))
+    for name, (_convert, default, modes) in options.items():
+        chosen, flag = getattr(args, mode), "--" + name.replace("_", "-")
+        if name in args and chosen not in modes:
+            raise ConfigError("%s is not read by --%s %s"
+                              % (flag, mode, chosen))
+        if name not in args and chosen in modes and default is REQUIRED:
+            raise ConfigError("--%s %s requires %s" % (mode, chosen, flag))
+
+
 def run_pipeline(cfg):
     """Run one experiment pipeline; writes models, predictions and the
     ``report.tsv`` metrics table to a scratch directory, then copies them
@@ -371,10 +411,8 @@ def _cmd_parse(args):
 
 
 def _cmd_train_tagger(args):
-    if hmm.VARIANT_FACTORS[args.variant][0] and not args.heldout:
-        raise ConfigError("--variant %s requires --heldout" % args.variant)
     train = _read_tagged(args.train)
-    heldout = _read_tagged(args.heldout) if args.heldout else None
+    heldout = _read_tagged(args.heldout) if "heldout" in args else None
     model = hmm.TaggerModel.train(args.variant, train, heldout)
     hmm.save_tagger(model, args.output)
     return 0
@@ -387,8 +425,6 @@ def _cmd_tag(args):
 
 
 def _cmd_train_sr(args):
-    if args.flavor == "cond" and not args.heldout:
-        raise ConfigError("--flavor cond requires --heldout")
     rules = args.head_rules or trees.HeadRules()
     train = _read_binarized(args.train, rules)
     if args.flavor == "joint":
@@ -413,9 +449,8 @@ def _cmd_parse_sr(args):
 
 
 def _cmd_eval(args):
-    gold = list(_read_trees(args.gold))
-    pred = _read_predictions(args.pred)
-    rep = evaluation.score_corpus(gold, pred)
+    rep = evaluation.score_corpus(_read_trees(args.gold),
+                                  _read_predictions(args.pred))
     print("precision\t%s" % _fmt(rep.precision))
     print("recall\t%s" % _fmt(rep.recall))
     print("f\t%s" % _fmt(rep.f_score))
@@ -425,11 +460,9 @@ def _cmd_eval(args):
 
 
 def _cmd_bootstrap(args):
-    gold = list(_read_trees(args.gold))
-    a = _read_predictions(args.a)
-    b = _read_predictions(args.b)
-    res = evaluation.bootstrap_test(gold, a, b,
-                                    **_given(args, "iterations", "seed"))
+    res = evaluation.bootstrap_test(
+        _read_trees(args.gold), _read_predictions(args.a),
+        _read_predictions(args.b), **_given(args, "iterations", "seed"))
     print("p_value\t%s" % _fmt(res.p_value))
     print("observed_delta_f\t%s" % _fmt(res.observed_delta_f))
     return 0
@@ -455,11 +488,18 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def command(name, func, *required):
-        """A subcommand and its required options."""
+        """A subcommand, its required options and, for a training command,
+        its mode option and the options that only some modes read."""
         sp = sub.add_parser(name)
         sp.set_defaults(func=func)
         for flags in required:
             sp.add_argument(*flags.split(), required=True)
+        mode, modes, options = TRAINING_MODES.get(name, (None, (), {}))
+        if mode:
+            sp.add_argument("--" + mode, choices=modes, default=modes[0])
+        for option, (convert, _default, _modes) in options.items():
+            sp.add_argument("--" + option.replace("_", "-"),
+                            type=_flag(convert), default=argparse.SUPPRESS)
         return sp
 
     # An option whose default is SUPPRESS keeps, when left out, the default
@@ -470,19 +510,11 @@ def build_parser():
                                     for keys in sections.values()]
     key = {k: _flag(convert) for keys in declared
            for k, (convert, _) in keys.items()}
-    sp = command("train-pcfg", _cmd_train_pcfg, "--train", "-o --output")
-    sp.add_argument("--mode", choices=("mle", "mcle"), default="mle")
-    sp.add_argument("--max-iters", type=key["max_iters"],
-                    default=argparse.SUPPRESS)
-    sp.add_argument("--tol", type=key["tol"], default=argparse.SUPPRESS)
+    command("train-pcfg", _cmd_train_pcfg, "--train", "-o --output")
     command("parse", _cmd_parse, "--grammar", "--input", "-o --output")
-    sp = command("train-tagger", _cmd_train_tagger, "--train", "-o --output")
-    sp.add_argument("--heldout")
-    sp.add_argument("--variant", choices=hmm.VARIANTS, default="joint")
+    command("train-tagger", _cmd_train_tagger, "--train", "-o --output")
     command("tag", _cmd_tag, "--model", "--input", "-o --output")
     sp = command("train-sr", _cmd_train_sr, "--train", "-o --output")
-    sp.add_argument("--heldout")
-    sp.add_argument("--flavor", choices=("joint", "cond"), default="joint")
     sp.add_argument("--head-rules", type=key["head_rules"])
     sp = command("parse-sr", _cmd_parse_sr, "--model", "--input",
                  "-o --output")
@@ -505,6 +537,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        _check_mode(args)
         return args.func(args)
     except ConfigError as e:
         print("config error: %s" % e, file=sys.stderr)

@@ -66,24 +66,25 @@ def sentence_stats(gold_tree, pred_tree):
     return matched, sum(g.values()), sum(p.values())
 
 
-def score_corpus(gold, pred):
-    """Micro-averaged labelled precision/recall/F over aligned corpora.
-
-    ``gold`` and ``pred`` are sequences of trees; predicted entries may be
-    None for failed parses.
-    """
-    gold = list(gold)
-    pred = list(pred)
+def sentence_rows(gold, pred):
+    """Each sentence's ``sentence_stats`` as one float row, shape (n, 3),
+    over aligned corpora: ``gold`` and ``pred`` are sequences of trees, and
+    predicted entries may be None for failed parses.  Refuses corpora of
+    different lengths and a parse that does not yield its gold sentence."""
+    gold, pred = list(gold), list(pred)
     if len(gold) != len(pred):
         raise EvalError("gold and predicted corpora differ in length")
-    matched = gtot = ptot = 0
     for i, (g, p) in enumerate(zip(gold, pred)):
         if p is not None and tree_yield(g) != tree_yield(p):
             raise EvalError("sentence %d: terminal strings differ" % i)
-        m, gt, pt = sentence_stats(g, p)
-        matched += m
-        gtot += gt
-        ptot += pt
+    return np.array([sentence_stats(g, p) for g, p in zip(gold, pred)],
+                    dtype=float).reshape(-1, 3)
+
+
+def score_corpus(gold, pred):
+    """Micro-averaged labelled precision/recall/F over aligned corpora
+    (``sentence_rows``)."""
+    matched, gtot, ptot = map(int, sentence_rows(gold, pred).sum(axis=0))
     prec, rec, f = _prf(matched, gtot, ptot)
     return EvalReport(prec, rec, f, matched, gtot, ptot)
 
@@ -111,26 +112,20 @@ def bootstrap_seed(seed):
 
 
 def bootstrap_test(gold, pred_a, pred_b, iterations=10000, seed=0):
-    """Bootstrap test of the F-score difference F(A) - F(B).
+    """Bootstrap test of the F-score difference F(A) - F(B), each system
+    aligned with ``gold`` as ``sentence_rows`` requires.
 
     Sentences are resampled with replacement using a per-iteration seed
     derived from (seed, iteration), so results are deterministic for a
     fixed seed regardless of execution order or parallelism.
     """
-    gold = list(gold)
-    pred_a = list(pred_a)
-    pred_b = list(pred_b)
-    if not (len(gold) == len(pred_a) == len(pred_b)):
-        raise EvalError("corpora differ in length")
-    if not gold:
+    stats_a = sentence_rows(gold, pred_a)
+    stats_b = sentence_rows(gold, pred_b)
+    n = len(stats_a)
+    if not n:
         raise EvalError("empty corpus")
     bootstrap_iterations(iterations)
     bootstrap_seed(seed)
-    n = len(gold)
-    stats_a = np.array([sentence_stats(g, p) for g, p in zip(gold, pred_a)],
-                       dtype=float)
-    stats_b = np.array([sentence_stats(g, p) for g, p in zip(gold, pred_b)],
-                       dtype=float)
 
     def delta(idx):
         ma, ga, pa = stats_a[idx].sum(axis=0)

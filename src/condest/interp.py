@@ -179,12 +179,13 @@ class CondTable:
                 yield ctx, self._outs[cols[e]], counts[e]
 
 
-def fit_mixture_weights(events, k, max_iters=100, tol=1e-7):
+def fit_mixture_weights(buckets, probs, max_iters=100, tol=1e-7):
     """EM for bucket-tied mixture weights.
 
-    ``events`` is a sequence of (bucket, (p_1, ..., p_k)) heldout items,
-    where p_i is component i's probability for the observed outcome.
-    Events whose component probabilities are all zero are skipped.
+    ``buckets`` holds one int bucket per heldout event, and row i of the
+    (events × k) array ``probs`` holds each component's probability of
+    event i's observed outcome.  Events whose component probabilities are
+    all zero are skipped.
 
     Returns (lambdas, trace): ``lambdas`` maps bucket -> k-tuple on the
     simplex; ``trace`` is the per-iteration heldout log-likelihood, which
@@ -196,17 +197,15 @@ def fit_mixture_weights(events, k, max_iters=100, tol=1e-7):
     Every sum adds its terms one at a time in that order, so the results
     are bit for bit those of a plain loop over each bucket's events.
     """
-    buckets, rows, ev = {}, {}, []
-    for bucket, probs in events:
-        if any(p > 0.0 for p in probs):
-            buckets.setdefault(bucket, len(buckets))
-            ev.append(rows.setdefault((bucket, probs), len(rows)))
-    rid = np.array([buckets[b] for b, _p in rows], dtype=np.intp)
-    probs = np.array([p for _b, p in rows], dtype=float).reshape(-1, k)
-    ev = np.array(ev, dtype=np.intp)
-    ev = ev[np.argsort(rid[ev], kind="stable")]
-    bid = rid[ev]
-    lam = np.full((len(buckets), k), 1.0 / k)
+    k = probs.shape[1]
+    use = (probs > 0.0).any(axis=1)
+    bid, codes = _first_seen(np.asarray(buckets)[use])
+    rows, ev = np.unique(np.column_stack([bid, probs[use]]), axis=0,
+                         return_inverse=True)
+    rid, probs = rows[:, 0].astype(np.intp), rows[:, 1:]
+    order = np.argsort(bid, kind="stable")
+    ev, bid = ev.reshape(-1)[order], bid[order]
+    lam = np.full((len(codes), k), 1.0 / k)
     trace = []
     for _ in range(max_iters):
         terms = lam[rid] * probs
@@ -214,7 +213,7 @@ def fit_mixture_weights(events, k, max_iters=100, tol=1e-7):
         logs = np.fromiter(map(math.log, mix.tolist()), float, len(mix))
         # cumsum adds left to right, as a loop does; np.sum adds pairwise
         ll = float(np.cumsum(logs[ev])[-1]) if len(ev) else 0.0
-        acc = np.stack([np.bincount(bid, (t / mix)[ev], len(buckets))
+        acc = np.stack([np.bincount(bid, (t / mix)[ev], len(codes))
                         for t in terms.T], axis=1)
         tot = sum(acc.T)
         lam = np.full_like(lam, 1.0 / k)
@@ -222,7 +221,7 @@ def fit_mixture_weights(events, k, max_iters=100, tol=1e-7):
         trace.append(ll)
         if len(trace) > 1 and ll - trace[-2] < tol * (abs(trace[-2]) + 1.0):
             break
-    return dict(zip(buckets, map(tuple, lam.tolist()))), trace
+    return dict(zip(codes.tolist(), map(tuple, lam.tolist()))), trace
 
 
 class InterpolatedCondDist:
@@ -277,13 +276,9 @@ def fit_interpolation(components, heldout_events):
     events = list(heldout_events)
     ctxs = [c for c, _out in events]
     outs = [out for _c, out in events]
-    probe = InterpolatedCondDist(components, {})
-    probs = np.stack(
-        [table.probs([probe.project(c, i) for c in ctxs], outs)
-         for i, (table, _) in enumerate(components)], axis=1)
+    probs = np.stack([table.probs([tuple(c[j] for j in idx) for c in ctxs],
+                                  outs) for table, idx in components], axis=1)
     finest = components[-1][0]
-    buckets = bucket_ids(finest.row_totals()[finest.rows(ctxs)])
     lambdas, trace = fit_mixture_weights(
-        list(zip(buckets.tolist(), map(tuple, probs.tolist()))),
-        len(components))
+        bucket_ids(finest.row_totals()[finest.rows(ctxs)]), probs)
     return InterpolatedCondDist(components, lambdas, trace)

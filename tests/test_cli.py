@@ -373,7 +373,8 @@ def _condest(*argv):
 def test_train_sr_deep_tree_exits_0(tmp_path, flavor):
     deep = _write(tmp_path / "deep.mrg", DEEP_SR_TREE)
     model = tmp_path / "sr.txt"
-    proc = _condest("train-sr", "--train", deep, "--heldout", deep,
+    heldout = ["--heldout", deep] if flavor == "cond" else []
+    proc = _condest("train-sr", "--train", deep, *heldout,
                     "--flavor", flavor, "-o", str(model))
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -398,6 +399,34 @@ def test_bootstrap_on_empty_corpora(tmp_path, capsys):
     assert cli.main(["bootstrap", "--gold", empty, "--a", empty,
                      "--b", empty]) == 1
     assert capsys.readouterr().err == "error: empty corpus\n"
+
+
+def test_bootstrap_refuses_what_eval_refuses(tmp_path, capsys):
+    """A prediction file whose sentence 0 yields ``x y`` against the gold
+    ``a b``: ``bootstrap`` exits 1 with the message ``eval`` prints."""
+    gold = _write(tmp_path / "gold.mrg", "(S (A a) (B b))\n(S (A a))\n")
+    bad = _write(tmp_path / "bad.mrg", "(S (A x) (B y))\n(S (A a))\n")
+    message = "error: sentence 0: terminal strings differ\n"
+    assert cli.main(["eval", "--gold", gold, "--pred", bad]) == 1
+    assert capsys.readouterr().err == message
+    for a, b in ((bad, gold), (gold, bad)):
+        assert cli.main(["bootstrap", "--gold", gold, "--a", a,
+                         "--b", b]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message)
+
+
+def test_prediction_line_holds_one_tree(tmp_path, capsys):
+    gold = _write(tmp_path / "gold.mrg", "(S (A a))\n(S (B b))\n")
+    two = _write(tmp_path / "two.mrg", "(S (A a))\n(S (B b)) (S (B b))\n")
+    for argv in (["eval", "--gold", gold, "--pred", two],
+                 ["bootstrap", "--gold", gold, "--a", gold, "--b", two]):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: %s:2: expected one tree, found 2\n" % two)
+    broken = _write(tmp_path / "broken.mrg", "(S (A a))\n(S (B b)))\n")
+    assert cli.main(["eval", "--gold", gold, "--pred", broken]) == 1
+    assert capsys.readouterr().err.startswith("error: %s:2: " % broken)
 
 
 def test_train_pcfg_mcle_mode(data_dir, tmp_path):
@@ -501,16 +530,27 @@ def test_missing_heldout_exits_2(data_dir, tmp_path, capsys, argv,
     ("train-tagger --variant conditional",
      "--variant conditional requires --heldout"),
     ("train-sr --flavor cond", "--flavor cond requires --heldout"),
-], ids=["train-tagger", "train-sr"])
+    ("train-pcfg --max-iters 3", "--max-iters is not read by --mode mle"),
+    ("train-pcfg --mode mle --tol 0.5", "--tol is not read by --mode mle"),
+    ("train-tagger --variant joint --heldout bad.tag",
+     "--heldout is not read by --variant joint"),
+    ("train-sr --flavor joint --heldout /nonexistent",
+     "--heldout is not read by --flavor joint"),
+], ids=["train-tagger", "train-sr", "train-pcfg-max-iters-not-read",
+        "train-pcfg-tol-not-read", "train-tagger-heldout-not-read",
+        "train-sr-heldout-not-read"])
 def test_missing_heldout_is_checked_before_reading(tmp_path, capsys, argv,
                                                   diagnostic):
-    """The usage error comes before the train file is read: a malformed
-    train file still exits 2 with the flag's message."""
+    """A mode that needs an option it was not given, or an option that
+    the chosen mode does not read, is a usage error found before any file
+    is read: a malformed train file still exits 2 with a message naming
+    the option and the mode, and no model is written."""
     train = _write(tmp_path / "train.txt", "(S (A a)\n")
     command, *rest = argv.split()
-    assert cli.main([command, "--train", train, *rest,
-                     "-o", str(tmp_path / "model.txt")]) == 2
+    out = tmp_path / "model.txt"
+    assert cli.main([command, "--train", train, *rest, "-o", str(out)]) == 2
     assert capsys.readouterr().err == "config error: %s\n" % diagnostic
+    assert not out.exists()
 
 
 def test_experiment_validate_only(data_dir, tmp_path):

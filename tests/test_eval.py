@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from condest.evaluation import (EvalError, bootstrap_test, brackets,
                                 score_corpus, sentence_stats)
-from condest.trees import parse_trees
+from condest.trees import Tree, parse_trees
 from oracles import brackets_reference, random_nary_tree
 
 
@@ -113,3 +113,49 @@ def test_bootstrap_validation():
         bootstrap_test(gold, list(gold), list(gold), iterations=0)
     with pytest.raises(EvalError, match="seed must be >= 0"):
         bootstrap_test(gold, list(gold), list(gold), iterations=10, seed=-1)
+
+
+@st.composite
+def _gold_and_pred(draw):
+    """A gold corpus and a prediction file made from it by a few edits:
+    truncated or extended, permuted, one yield changed, failed parses."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    gold = [random_nary_tree(rng, max_depth=3)
+            for _ in range(draw(st.integers(0, 5)))]
+    pred = list(gold)
+    for edit in draw(st.lists(st.sampled_from(
+            ("truncate", "extend", "permute", "yield", "none")), max_size=3)):
+        if edit == "truncate":
+            pred = pred[:draw(st.integers(0, len(pred)))]
+        elif edit == "extend":
+            pred.append(random_nary_tree(rng, max_depth=3))
+        elif edit == "permute":
+            pred = draw(st.permutations(pred))
+        elif pred:
+            i = draw(st.integers(0, len(pred) - 1))
+            t = pred[i]
+            pred[i] = (None if edit == "none" or t is None
+                       else Tree(t.label, t.children + (Tree("q"),)))
+    return gold, pred
+
+
+def _refusal(f):
+    """The message of the EvalError ``f`` raises, or None."""
+    try:
+        f()
+    except EvalError as e:
+        return str(e)
+    return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_gold_and_pred())
+def test_bootstrap_refuses_what_score_corpus_refuses(corpora):
+    """Scoring and the bootstrap share one alignment rule: the same
+    prediction file is refused by both, with the same message, in either
+    bootstrap position; an empty corpus the bootstrap alone refuses."""
+    gold, pred = corpora
+    refused = _refusal(lambda: score_corpus(gold, pred))
+    for a, b in ((pred, gold), (gold, pred)):
+        got = _refusal(lambda: bootstrap_test(gold, a, b, iterations=2))
+        assert got == (refused if refused or gold else "empty corpus")

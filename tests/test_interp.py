@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -102,24 +103,32 @@ def test_coded_table_matches_dict_table(rows, later, weighted):
     _same_table(got, want)
 
 
+def fit_events(events, k, **kw):
+    """``fit_mixture_weights`` on a list of (bucket, (p_1, ..., p_k))
+    events, passed as its bucket and probability arrays."""
+    return fit_mixture_weights(
+        np.array([b for b, _p in events], dtype=np.intp),
+        np.array([p for _b, p in events], dtype=float).reshape(-1, k), **kw)
+
+
 def test_mixture_degenerate():
     # second component always wrong: all weight moves to the first
     events = [(0, (1.0, 0.0))] * 5
-    lambdas, trace = fit_mixture_weights(events, 2)
+    lambdas, trace = fit_events(events, 2)
     assert lambdas[0] == pytest.approx((1.0, 0.0))
     assert trace[-1] == pytest.approx(0.0)
 
 
 def test_mixture_symmetric_stays_uniform():
     events = [(0, (0.3, 0.3))] * 5
-    lambdas, _ = fit_mixture_weights(events, 2)
+    lambdas, _ = fit_events(events, 2)
     assert lambdas[0] == pytest.approx((0.5, 0.5))
 
 
 def test_mixture_simplex_and_monotone():
     events = [(0, (0.9, 0.2)), (0, (0.1, 0.8)), (1, (0.5, 0.4)),
               (1, (0.2, 0.7)), (1, (0.6, 0.6))]
-    lambdas, trace = fit_mixture_weights(events, 2)
+    lambdas, trace = fit_events(events, 2)
     for lam in lambdas.values():
         assert sum(lam) == pytest.approx(1.0, abs=1e-12)
         assert all(l >= 0 for l in lam)
@@ -129,7 +138,7 @@ def test_mixture_simplex_and_monotone():
 
 def test_mixture_skips_all_zero_events():
     events = [(0, (0.0, 0.0)), (0, (1.0, 0.5))]
-    lambdas, trace = fit_mixture_weights(events, 2)
+    lambdas, trace = fit_events(events, 2)
     assert 0 in lambdas
     assert len(trace) >= 1
 
@@ -228,7 +237,7 @@ def _em_inputs(draw):
 @given(_em_inputs())
 def test_mixture_weights_match_loop(inputs):
     # bit-identical lambdas (in bucket order) and trace, or the same error
-    assert _fit(fit_mixture_weights, *inputs) == _fit(fit_mixture_weights_loop,
+    assert _fit(fit_events, *inputs) == _fit(fit_mixture_weights_loop,
                                                       *inputs)
 
 
@@ -239,7 +248,7 @@ def test_mixture_weights_match_loop(inputs):
     ([(b % 6, (0.2, 0.01 * b)) for b in range(60)], 2, 100, 1e-7, None),
 ])
 def test_mixture_weights_match_loop_cases(events, k, max_iters, tol, iters):
-    got = _fit(fit_mixture_weights, events, k, max_iters, tol)
+    got = _fit(fit_events, events, k, max_iters, tol)
     assert got == _fit(fit_mixture_weights_loop, events, k, max_iters, tol)
     if iters is None:  # stopped by the tolerance
         assert 2 <= len(got[1]) < max_iters
