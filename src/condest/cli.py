@@ -205,7 +205,7 @@ def _read_predictions(path):
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             try:
-                found = trees.parse_trees(line) if line.strip() else [None]
+                found = trees.parse_line(line) if line.strip() else [None]
                 if len(found) != 1:
                     raise trees.TreebankError("expected one tree, found %d"
                                               % len(found))

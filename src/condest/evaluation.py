@@ -8,6 +8,7 @@ the shift convention: the proportion of resampled deltas at least as far
 from the observed delta as the observed delta is from zero.
 """
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -49,10 +50,16 @@ class EvalReport:
 
 
 def _prf(matched, gold, predicted):
-    p = matched / predicted if predicted else 1.0
-    r = matched / gold if gold else 1.0
-    f = 2 * p * r / (p + r) if p + r > 0 else 0.0
-    return p, r, f
+    """Precision, recall and F as float64 arrays over count arrays of one
+    shape.  An empty predicted (gold) set has precision (recall) 1, and
+    P = R = 0 has F = 0; no branch divides by zero."""
+    matched, gold, predicted = (np.asarray(x, dtype=float)
+                                for x in (matched, gold, predicted))
+    p = np.divide(matched, predicted, out=np.ones_like(matched),
+                  where=predicted != 0)
+    r = np.divide(matched, gold, out=np.ones_like(matched), where=gold != 0)
+    s = p + r
+    return p, r, np.divide(2 * p * r, s, out=np.zeros_like(s), where=s > 0)
 
 
 def sentence_stats(gold_tree, pred_tree):
@@ -70,11 +77,12 @@ def sentence_rows(gold, pred):
     """Each sentence's ``sentence_stats`` as one float row, shape (n, 3),
     over aligned corpora: ``gold`` and ``pred`` are sequences of trees, and
     predicted entries may be None for failed parses.  Refuses corpora of
-    different lengths and a parse that does not yield its gold sentence."""
+    different lengths and a parse that does not yield its gold sentence,
+    which it names by its 1-based number."""
     gold, pred = list(gold), list(pred)
     if len(gold) != len(pred):
         raise EvalError("gold and predicted corpora differ in length")
-    for i, (g, p) in enumerate(zip(gold, pred)):
+    for i, (g, p) in enumerate(zip(gold, pred), 1):
         if p is not None and tree_yield(g) != tree_yield(p):
             raise EvalError("sentence %d: terminal strings differ" % i)
     return np.array([sentence_stats(g, p) for g, p in zip(gold, pred)],
@@ -85,7 +93,7 @@ def score_corpus(gold, pred):
     """Micro-averaged labelled precision/recall/F over aligned corpora
     (``sentence_rows``)."""
     matched, gtot, ptot = map(int, sentence_rows(gold, pred).sum(axis=0))
-    prec, rec, f = _prf(matched, gtot, ptot)
+    prec, rec, f = map(float, _prf(matched, gtot, ptot))
     return EvalReport(prec, rec, f, matched, gtot, ptot)
 
 
@@ -119,24 +127,182 @@ def bootstrap_test(gold, pred_a, pred_b, iterations=10000, seed=0):
     derived from (seed, iteration), so results are deterministic for a
     fixed seed regardless of execution order or parallelism.
     """
-    stats_a = sentence_rows(gold, pred_a)
-    stats_b = sentence_rows(gold, pred_b)
-    n = len(stats_a)
+    rows = np.hstack([sentence_rows(gold, pred_a),
+                      sentence_rows(gold, pred_b)])
+    n = len(rows)
     if not n:
         raise EvalError("empty corpus")
     bootstrap_iterations(iterations)
     bootstrap_seed(seed)
 
-    def delta(idx):
-        ma, ga, pa = stats_a[idx].sum(axis=0)
-        mb, gb, pb = stats_b[idx].sum(axis=0)
-        return _prf(ma, ga, pa)[2] - _prf(mb, gb, pb)[2]
+    def delta(sums):   # F(A) - F(B) from summed rows, one per column
+        return _prf(*sums[:3])[2] - _prf(*sums[3:])[2]
 
-    observed = delta(np.arange(n))
+    observed = delta(rows.sum(axis=0))
     extreme = 0
-    for it in range(iterations):
-        rng = np.random.default_rng((seed, it))
-        idx = rng.integers(0, n, n)
-        if abs(delta(idx) - observed) >= abs(observed):
-            extreme += 1
+    for counts in resampled_counts(n, iterations, seed):
+        extreme += int(np.count_nonzero(
+            np.abs(delta((counts @ rows).T) - observed) >= abs(observed)))
     return BootstrapResult(extreme / iterations, iterations, seed, observed)
+
+
+# ---------------------------------------------------------------------------
+# The resampler.  Iteration ``it`` draws the sentence indices
+# ``np.random.default_rng((seed, it)).integers(0, n, n)``.  For seed and
+# ``it`` below 2**32 the same draws are computed for a block of iterations
+# at once, in uint32/uint64 array arithmetic that follows numpy's steps:
+#   - SeedSequence((seed, it)) hashes the entropy words [seed, it] into a
+#     pool of four uint32 words, and generate_state(4, uint64) hashes the
+#     pool into eight words w0..w7;
+#   - PCG64 takes the 128-bit state (w1 w0 w3 w2) and increment
+#     (w5 w4 w7 w6), high limb first, seeds as state = (inc + state) * A + inc
+#     with inc = 2 * increment + 1, then outputs XSL-RR of state = state * A
+#     + inc per 64-bit draw;
+#   - integers(0, n, n) takes 32-bit words, the low half of each draw
+#     first, and maps word u to (u * n) >> 32 (Lemire), except that numpy
+#     draws a new word while (u * n) mod 2**32 < (2**32 - n) mod n.
+# An iteration with such a rejection is drawn by numpy instead, as are
+# iterations whose seed or number is 2**32 or more (their entropy is longer)
+# and every iteration if a check against numpy's own draws fails.
+
+_M32 = 0xFFFFFFFF
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# Sentence indices drawn per block: a block's arrays peak below 1 MB.
+_BLOCK = 1 << 14
+# On one x86-64 core, numpy's generator costs about 30 us to build and
+# 5 ns a draw, the vector stream 20-40 ns a draw: from about a thousand
+# sentences on, one generator per iteration is as fast.
+_VECTOR_MAX_N = 1024
+
+
+def _mul_add_128(terms):
+    """sum(a * b for a, b in terms) mod 2**128, each value a (high, low)
+    pair of broadcastable uint64 arrays; uint64 products wrap mod 2**64,
+    and the high half of a low-by-low product comes from 32-bit halves."""
+    shape = np.broadcast_shapes(
+        *(x.shape for term in terms for value in term for x in value))
+    # bits 0-31 and 32-63 (sums below 2**36), and bits 64-127 mod 2**64
+    lo32, mid, hi = cols = np.zeros((3,) + shape, dtype=np.uint64)
+    for (ah, al), (bh, bl) in terms:
+        a, b = (al & _M32, al >> 32), (bl & _M32, bl >> 32)
+        for i, j in ((0, 0), (0, 1), (1, 0)):
+            p = a[i] * b[j]
+            cols[i + j] += p & _M32
+            p >>= 32
+            cols[i + j + 1] += p
+        hi += a[1] * b[1]
+        hi += ah * bl
+        hi += al * bh
+    mid += lo32 >> 32
+    hi += mid >> 32
+    mid <<= 32
+    lo32 &= _M32
+    return hi, mid | lo32
+
+
+@functools.cache
+def _pcg_steps():
+    """(A**(k+2), 1 + A + ... + A**(k+2)) mod 2**128 for the PCG64
+    multiplier A and every draw k the vector path takes, each as a (high,
+    low) pair of uint64 arrays."""
+    powers, sums = [], []
+    a, s = _PCG_MULT ** 2, 1 + _PCG_MULT + _PCG_MULT ** 2
+    for _ in range((_VECTOR_MAX_N + 1) // 2):
+        powers.append(a % 2 ** 128)
+        sums.append(s % 2 ** 128)
+        a *= _PCG_MULT
+        s += a
+    return tuple(tuple(np.array([v >> shift & 2 ** 64 - 1 for v in values],
+                                dtype=np.uint64) for shift in (64, 0))
+                 for values in (powers, sums))
+
+
+def _seed_words(seed, its):
+    """``SeedSequence((seed, it)).generate_state(4, np.uint64)`` for each
+    ``it`` in the uint32 array ``its``, as eight uint32 arrays w0..w7."""
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * 0x931E8875 & _M32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+        return r ^ (r >> 16)
+
+    zero = np.zeros_like(its)
+    pool = [hashmix(v) for v in (zero + np.uint32(seed), its, zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    words, hash_const = [], 0x8B51F9DD
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * 0x58F38DED & _M32
+        value = value * np.uint32(hash_const)
+        words.append(value ^ (value >> 16))
+    return words
+
+
+def _vector_draws(seed, its, n):
+    """``default_rng((seed, it)).integers(0, n, n)`` for each ``it`` in the
+    uint32 array ``its``, as a (len(its), n) uint64 array, and a boolean
+    array marking the iterations where numpy's draw rejects a word (their
+    rows here are not numpy's)."""
+    w = [x.astype(np.uint64)[:, None] for x in _seed_words(seed, its)]
+    state = (w[0] | w[1] << 32, w[2] | w[3] << 32)
+    inc_hi, inc_lo = w[4] | w[5] << 32, w[6] | w[7] << 32
+    inc = (inc_hi << 1 | inc_lo >> 63, inc_lo << 1 | 1)
+    # seeding leaves state (state + inc) * A + inc, so 64-bit draw k comes
+    # from state A**(k+2) * state + (1 + A + ... + A**(k+2)) * inc
+    powers, sums = ([x[:(n + 1) // 2] for x in pair] for pair in _pcg_steps())
+    hi, lo = _mul_add_128([(state, powers), (inc, sums)])
+    rot = hi >> 58
+    hi ^= lo
+    lo = (hi >> rot) | (hi << ((64 - rot) & 63))   # XSL-RR
+    # each draw's low 32-bit half first: its little-endian uint32 view
+    words = lo.astype("<u8", copy=False).view("<u4")[:, :n]
+    # the leftover (u * n) mod 2**32 is the uint32 product
+    rejected = (words * np.uint32(n) < (2 ** 32 - n) % n).any(axis=1)
+    draws = words.astype(np.uint64)
+    draws *= n
+    draws >>= 32
+    return draws, rejected
+
+
+@functools.cache
+def _vector_stream_ok():
+    """Whether ``_vector_draws`` reproduces numpy's draws on a small case;
+    checked on first use, once per process."""
+    seed, its, n = 2 ** 32 - 1, [0, 1, 2 ** 32 - 1], 7
+    draws, rejected = _vector_draws(seed, np.array(its, dtype=np.uint32), n)
+    return not rejected.any() and all(
+        np.array_equal(row, np.random.default_rng((seed, it)).integers(
+            0, n, n)) for row, it in zip(draws, its))
+
+
+def resampled_counts(n, iterations, seed):
+    """Blocks of per-iteration resampling counts, in iteration order: row
+    ``it`` counts how often each of ``n`` sentences is drawn by
+    ``np.random.default_rng((seed, it)).integers(0, n, n)``.  A block holds
+    at most ``_BLOCK`` draws, or one iteration's if ``n`` is larger."""
+    vector = seed < 2 ** 32 and n <= _VECTOR_MAX_N and _vector_stream_ok()
+    per_block = max(1, _BLOCK // n)
+    for start in range(0, iterations, per_block):
+        its = np.arange(start, min(start + per_block, iterations))
+        if vector:   # numbers from 2**32 on wrap in uint32; numpy draws them
+            draws, redraw = _vector_draws(seed, its.astype(np.uint32), n)
+            redraw |= its >= 2 ** 32
+        else:
+            draws = np.empty((len(its), n), dtype=np.uint64)
+            redraw = np.ones(len(its), dtype=bool)
+        for row in np.flatnonzero(redraw):
+            draws[row] = np.random.default_rng(
+                (seed, int(its[row]))).integers(0, n, n)
+        draws = draws.view(np.int64)
+        draws += np.arange(0, len(its) * n, n)[:, None]
+        yield np.bincount(draws.ravel(), minlength=len(its) * n).reshape(-1, n)

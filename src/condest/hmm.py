@@ -385,7 +385,7 @@ def tagging_accuracy(pred, gold):
     if len(pred) != len(gold):
         raise TaggingError("corpora have different sentence counts")
     total = correct = 0
-    for i, (p, g) in enumerate(zip(pred, gold)):
+    for i, (p, g) in enumerate(zip(pred, gold), 1):
         if len(p) != len(g):
             raise TaggingError("sentence %d: length mismatch" % i)
         total += len(g)

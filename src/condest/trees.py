@@ -94,9 +94,24 @@ def parse_trees(text):
     Raises TreebankError with line/column information on unbalanced
     parentheses or empty nodes.
     """
+    return _parse(text.split("\n"), "line %(line)d, column %(column)d")
+
+
+def parse_line(line):
+    """The trees on one line of text, as ``parse_trees`` reads them; an
+    error's position names the column only."""
+    return _parse([line], "column %(column)d")
+
+
+def _parse(lines, position):
+    """The trees on ``lines``; an error's position is ``position`` filled
+    with the 1-based ``line`` and ``column``."""
     trees = []
     stack = []  # (label, children) frames; label None until first token
-    lines = text.split("\n")
+
+    def at():
+        return position % {"line": lineno, "column": col}
+
     for lineno, line in enumerate(lines, 1):
         for m in _TOKEN_RE.finditer(line):
             tok = m.group()
@@ -105,12 +120,10 @@ def parse_trees(text):
                 stack.append([None, []])
             elif tok == ")":
                 if not stack:
-                    raise TreebankError(
-                        "unbalanced ')' at line %d, column %d" % (lineno, col))
+                    raise TreebankError("unbalanced ')' at %s" % at())
                 label, children = stack.pop()
                 if label is None:
-                    raise TreebankError(
-                        "empty node at line %d, column %d" % (lineno, col))
+                    raise TreebankError("empty node at %s" % at())
                 node = Tree(label, children)
                 if stack:
                     stack[-1][1].append(node)
@@ -119,8 +132,7 @@ def parse_trees(text):
             else:
                 if not stack:
                     raise TreebankError(
-                        "token %r outside any tree at line %d, column %d"
-                        % (tok, lineno, col))
+                        "token %r outside any tree at %s" % (tok, at()))
                 if stack[-1][0] is None:
                     stack[-1][0] = tok
                 else:

@@ -17,6 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from condest.evaluation import (BootstrapResult, EvalError,
+                                bootstrap_iterations, bootstrap_seed,
+                                sentence_rows)
 from condest.hmm import END, UNK, UNK_THRESHOLD, TaggingError
 from condest.interp import InterpolatedCondDist, bucket_id
 from condest.pcfg import (LINE_SEARCH_SHRINK, MAX_SHRINKS, NEG_INF, ZERO_EXP,
@@ -851,6 +854,40 @@ def brackets_reference(t):
 
     walk(t, 0)
     return out
+
+
+def _prf_reference(matched, gold, predicted):
+    p = matched / predicted if predicted else 1.0
+    r = matched / gold if gold else 1.0
+    f = 2 * p * r / (p + r) if p + r > 0 else 0.0
+    return p, r, f
+
+
+def bootstrap_test_reference(gold, pred_a, pred_b, iterations=10000, seed=0):
+    """The bootstrap with one generator per iteration: each draws its sentences
+    with ``np.random.default_rng((seed, it)).integers(0, n, n)`` and scores
+    them with scalar arithmetic."""
+    stats_a = sentence_rows(gold, pred_a)
+    stats_b = sentence_rows(gold, pred_b)
+    n = len(stats_a)
+    if not n:
+        raise EvalError("empty corpus")
+    bootstrap_iterations(iterations)
+    bootstrap_seed(seed)
+
+    def delta(idx):
+        ma, ga, pa = stats_a[idx].sum(axis=0)
+        mb, gb, pb = stats_b[idx].sum(axis=0)
+        return _prf_reference(ma, ga, pa)[2] - _prf_reference(mb, gb, pb)[2]
+
+    observed = delta(np.arange(n))
+    extreme = 0
+    for it in range(iterations):
+        rng = np.random.default_rng((seed, it))
+        idx = rng.integers(0, n, n)
+        if abs(delta(idx) - observed) >= abs(observed):
+            extreme += 1
+    return BootstrapResult(extreme / iterations, iterations, seed, observed)
 
 
 # ---------------------------------------------------------------------------

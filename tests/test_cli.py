@@ -402,11 +402,11 @@ def test_bootstrap_on_empty_corpora(tmp_path, capsys):
 
 
 def test_bootstrap_refuses_what_eval_refuses(tmp_path, capsys):
-    """A prediction file whose sentence 0 yields ``x y`` against the gold
+    """A prediction file whose sentence 1 yields ``x y`` against the gold
     ``a b``: ``bootstrap`` exits 1 with the message ``eval`` prints."""
     gold = _write(tmp_path / "gold.mrg", "(S (A a) (B b))\n(S (A a))\n")
     bad = _write(tmp_path / "bad.mrg", "(S (A x) (B y))\n(S (A a))\n")
-    message = "error: sentence 0: terminal strings differ\n"
+    message = "error: sentence 1: terminal strings differ\n"
     assert cli.main(["eval", "--gold", gold, "--pred", bad]) == 1
     assert capsys.readouterr().err == message
     for a, b in ((bad, gold), (gold, bad)):
@@ -427,6 +427,16 @@ def test_prediction_line_holds_one_tree(tmp_path, capsys):
     broken = _write(tmp_path / "broken.mrg", "(S (A a))\n(S (B b)))\n")
     assert cli.main(["eval", "--gold", gold, "--pred", broken]) == 1
     assert capsys.readouterr().err.startswith("error: %s:2: " % broken)
+
+
+def test_malformed_prediction_line_names_its_column(tmp_path, capsys):
+    """The file's line number comes once, in the ``path:line:`` prefix; the
+    reader's position inside that line is its column alone."""
+    gold = _write(tmp_path / "gold.mrg", "(S (A a))\n(S (A a))\n(S (A a))\n")
+    pred = _write(tmp_path / "pred.mrg", "(S (A a))\n\n(S (A a))) (B b)\n")
+    assert cli.main(["eval", "--gold", gold, "--pred", pred]) == 1
+    assert capsys.readouterr().err == (
+        "error: %s:3: unbalanced ')' at column 10\n" % pred)
 
 
 def test_train_pcfg_mcle_mode(data_dir, tmp_path):

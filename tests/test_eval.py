@@ -1,13 +1,17 @@
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from condest import evaluation
 from condest.evaluation import (EvalError, bootstrap_test, brackets,
-                                score_corpus, sentence_stats)
+                                resampled_counts, score_corpus,
+                                sentence_stats)
 from condest.trees import Tree, parse_trees
-from oracles import brackets_reference, random_nary_tree
+from oracles import (bootstrap_test_reference, brackets_reference,
+                     random_nary_tree)
 
 
 def t(s):
@@ -76,7 +80,7 @@ def test_score_errors():
     gold = [t("(S (A a) (B b))")]
     with pytest.raises(EvalError, match="length"):
         score_corpus(gold, [])
-    with pytest.raises(EvalError, match="terminal strings"):
+    with pytest.raises(EvalError, match="^sentence 1: terminal strings"):
         score_corpus(gold, [t("(S (A a) (B c))")])
 
 
@@ -159,3 +163,100 @@ def test_bootstrap_refuses_what_score_corpus_refuses(corpora):
     for a, b in ((pred, gold), (gold, pred)):
         got = _refusal(lambda: bootstrap_test(gold, a, b, iterations=2))
         assert got == (refused if refused or gold else "empty corpus")
+
+
+# ---------------------------------------------------------------------------
+# The resampler: numpy's per-iteration stream, drawn for many iterations at
+# once, against numpy's own generators.
+
+def _numpy_draws(seed, it, n):
+    return np.random.default_rng((seed, it)).integers(0, n, n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), first=st.integers(0, 2 ** 32 - 1),
+       count=st.integers(1, 4), n=st.integers(1, 1000))
+def test_vector_draws_are_numpys(seed, first, count, n):
+    """Each iteration's vector draws equal ``default_rng((seed, it))
+    .integers(0, n, n)`` unless numpy's bounded draw rejected a word."""
+    its = np.arange(first, min(first + count, 2 ** 32), dtype=np.uint32)
+    draws, rejected = evaluation._vector_draws(seed, its, n)
+    assert draws.shape == (len(its), n)
+    for row, it, rej in zip(draws, its, rejected):
+        if not rej:
+            assert np.array_equal(row, _numpy_draws(seed, int(it), n))
+
+
+def test_rejected_draw_takes_numpys_path():
+    """At seed 0, iteration 389, n 997, numpy's bounded draw rejects the
+    word of draw 6 (its leftover is below (2**32 - 997) % 997) and draws
+    again; the vector row flags it, and the resampler counts numpy's."""
+    seed, it, n = 0, 389, 997
+    draws, rejected = evaluation._vector_draws(
+        seed, np.array([it - 1, it], dtype=np.uint32), n)
+    expected = _numpy_draws(seed, it, n)
+    assert list(rejected) == [False, True]
+    assert np.array_equal(draws[1, :6], expected[:6])
+    assert not np.array_equal(draws[1], expected)
+    counts = np.vstack(list(resampled_counts(n, it + 1, seed)))
+    assert np.array_equal(counts[it], np.bincount(expected, minlength=n))
+    assert np.array_equal(counts[it - 1],
+                          np.bincount(_numpy_draws(seed, it - 1, n),
+                                      minlength=n))
+
+
+@st.composite
+def _systems(draw):
+    """A gold corpus, some trees bare words (no brackets, so 0/0 rows), and
+    two systems that keep, relabel the root of, or fail each sentence."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 40))
+    gold = [random_nary_tree(rng, max_depth=rng.randint(0, 3))
+            for _ in range(n)]
+
+    def system():
+        out = []
+        for tree in gold:
+            edit = rng.choice(("keep", "relabel", "fail"))
+            out.append(None if edit == "fail" else
+                       Tree("Q", tree.children) if edit == "relabel"
+                       and tree.children else tree)
+        return out
+
+    return gold, system(), system()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_systems(), st.sampled_from([0, 5, 2 ** 32 - 1, 2 ** 32, 2 ** 40]),
+       st.integers(1, 300))
+def test_bootstrap_matches_per_iteration_generators(corpora, seed,
+                                                    iterations):
+    """The same p-value and observed difference, ``repr`` for ``repr``, as
+    one numpy generator per iteration scored with scalar arithmetic."""
+    gold, a, b = corpora
+    expected = bootstrap_test_reference(gold, a, b, iterations, seed)
+    assume(expected.observed_delta_f != 0)
+    assert (repr(bootstrap_test(gold, a, b, iterations, seed))
+            == repr(expected))
+
+
+def test_failed_stream_check_falls_back_to_numpy(monkeypatch):
+    """A vector stream that disagrees with numpy is caught by the check on
+    first use, and every iteration is drawn by numpy instead."""
+    right = evaluation._vector_draws
+
+    def late_by_one(seed, its, n):
+        draws, rejected = right(seed, its, n)
+        return np.roll(draws, 1, axis=1), rejected
+
+    monkeypatch.setattr(evaluation, "_vector_draws", late_by_one)
+    evaluation._vector_stream_ok.cache_clear()
+    try:
+        gold = [t("(S (A a) (B b))")] * 12
+        pred_b = [g if i % 3 else None for i, g in enumerate(gold)]
+        got = bootstrap_test(gold, list(gold), pred_b, iterations=50, seed=3)
+        assert evaluation._vector_stream_ok() is False
+    finally:
+        evaluation._vector_stream_ok.cache_clear()
+    assert repr(got) == repr(bootstrap_test_reference(
+        gold, list(gold), pred_b, iterations=50, seed=3))

@@ -288,8 +288,8 @@ def test_tagging_accuracy():
     assert tagging_accuracy([("X", "Y")], [("X", "Z")]) == pytest.approx(0.5)
     with pytest.raises(TaggingError):
         tagging_accuracy([("X",)], [("X",), ("Y",)])
-    with pytest.raises(TaggingError):
-        tagging_accuracy([("X",)], [("X", "Y")])
+    with pytest.raises(TaggingError, match="^sentence 2: length mismatch$"):
+        tagging_accuracy([("X",), ("X",)], [("X",), ("X", "Y")])
 
 
 def test_load_tagger_without_tags(tmp_path):
