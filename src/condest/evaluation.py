@@ -162,17 +162,20 @@ def bootstrap_test(gold, pred_a, pred_b, iterations=10000, seed=0):
 #     first, and maps word u to (u * n) >> 32 (Lemire), except that numpy
 #     draws a new word while (u * n) mod 2**32 < (2**32 - n) mod n.
 # An iteration with such a rejection is drawn by numpy instead, as are
-# iterations whose seed or number is 2**32 or more (their entropy is longer)
-# and every iteration if a check against numpy's own draws fails.
+# iterations whose seed or number is 2**32 or more (their entropy is
+# longer), and every iteration of a test set over _VECTOR_MAX_N sentences
+# or after a failed check against numpy's own draws.
 
 _M32 = 0xFFFFFFFF
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # Sentence indices drawn per block: a block's arrays peak below 1 MB.
 _BLOCK = 1 << 14
-# On one x86-64 core, numpy's generator costs about 30 us to build and
-# 5 ns a draw, the vector stream 20-40 ns a draw: from about a thousand
-# sentences on, one generator per iteration is as fast.
-_VECTOR_MAX_N = 1024
+# The vector stream costs tens of ns a draw and numpy about 5, but numpy
+# spends 20-30 us building each generator.  Per iteration on a 2-core
+# x86-64 host, the vector stream took 0.79-0.91 of numpy's time at 512
+# sentences, 1.07-1.21 at 640 and 2.3-2.6 at 2,416 (BENCH_20.json), so
+# larger test sets draw with numpy.
+_VECTOR_MAX_N = 512
 
 
 def _mul_add_128(terms):
@@ -201,17 +204,17 @@ def _mul_add_128(terms):
 
 
 @functools.cache
-def _pcg_steps():
+def _pcg_steps(draws):
     """(A**(k+2), 1 + A + ... + A**(k+2)) mod 2**128 for the PCG64
-    multiplier A and every draw k the vector path takes, each as a (high,
-    low) pair of uint64 arrays."""
+    multiplier A and each 64-bit draw k < ``draws``, each as a (high, low)
+    pair of uint64 arrays."""
     powers, sums = [], []
-    a, s = _PCG_MULT ** 2, 1 + _PCG_MULT + _PCG_MULT ** 2
-    for _ in range((_VECTOR_MAX_N + 1) // 2):
-        powers.append(a % 2 ** 128)
-        sums.append(s % 2 ** 128)
-        a *= _PCG_MULT
-        s += a
+    a, s = _PCG_MULT, 1 + _PCG_MULT
+    for _ in range(draws):
+        a = a * _PCG_MULT % 2 ** 128
+        s = (s + a) % 2 ** 128
+        powers.append(a)
+        sums.append(s)
     return tuple(tuple(np.array([v >> shift & 2 ** 64 - 1 for v in values],
                                 dtype=np.uint64) for shift in (64, 0))
                  for values in (powers, sums))
@@ -259,7 +262,7 @@ def _vector_draws(seed, its, n):
     inc = (inc_hi << 1 | inc_lo >> 63, inc_lo << 1 | 1)
     # seeding leaves state (state + inc) * A + inc, so 64-bit draw k comes
     # from state A**(k+2) * state + (1 + A + ... + A**(k+2)) * inc
-    powers, sums = ([x[:(n + 1) // 2] for x in pair] for pair in _pcg_steps())
+    powers, sums = _pcg_steps((n + 1) // 2)
     hi, lo = _mul_add_128([(state, powers), (inc, sums)])
     rot = hi >> 58
     hi ^= lo

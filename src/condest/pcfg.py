@@ -343,14 +343,7 @@ def inside_outside(g, x):
             break
         (left, right), s = _splits(inside, w), np.add(*_splits(exps, w))
         left, right = left[..., fg.left], right[..., fg.right]
-        # times 2**(s - top): exact as a product where that power is a
-        # double, and by ldexp on the splits where it underflows to 0
-        shift, wg = s - tops[w], fg.weight * gv[:, fg.parent]
-        scale = np.ldexp(1.0, shift)
-        gp = wg * scale[..., None]
-        if not scale.all():
-            d, i = np.nonzero(scale == 0.0)
-            gp[d, i] = np.ldexp(wg[i], shift[d, i, None])
+        gp = np.ldexp(fg.weight * gv[:, fg.parent], (s - tops[w])[..., None])
         gl = gp * left
         expected[:nb] += (gl * right).sum(axis=(0, 1))
         grad_left, grad_right = _splits(grad, w)

@@ -205,12 +205,10 @@ def test_rejected_draw_takes_numpys_path():
                                       minlength=n))
 
 
-@st.composite
-def _systems(draw):
-    """A gold corpus, some trees bare words (no brackets, so 0/0 rows), and
-    two systems that keep, relabel the root of, or fail each sentence."""
-    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
-    n = draw(st.integers(1, 40))
+def _random_systems(rng, n):
+    """A gold corpus of ``n`` trees, some bare words (no brackets, so 0/0
+    rows), and two systems that keep, relabel the root of, or fail each
+    sentence."""
     gold = [random_nary_tree(rng, max_depth=rng.randint(0, 3))
             for _ in range(n)]
 
@@ -224,6 +222,12 @@ def _systems(draw):
         return out
 
     return gold, system(), system()
+
+
+@st.composite
+def _systems(draw):
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    return _random_systems(rng, draw(st.integers(1, 40)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -242,14 +246,14 @@ def test_bootstrap_matches_per_iteration_generators(corpora, seed,
 
 def test_failed_stream_check_falls_back_to_numpy(monkeypatch):
     """A vector stream that disagrees with numpy is caught by the check on
-    first use, and every iteration is drawn by numpy instead."""
-    right = evaluation._vector_draws
+    first use, and every iteration is drawn by numpy instead.  The broken
+    stream draws only sentence 1, which system B fails: taken, it would
+    give p = 1 where numpy's draws give p near 0."""
+    def sentence_one_only(seed, its, n):
+        return (np.zeros((len(its), n), dtype=np.uint64),
+                np.zeros(len(its), dtype=bool))
 
-    def late_by_one(seed, its, n):
-        draws, rejected = right(seed, its, n)
-        return np.roll(draws, 1, axis=1), rejected
-
-    monkeypatch.setattr(evaluation, "_vector_draws", late_by_one)
+    monkeypatch.setattr(evaluation, "_vector_draws", sentence_one_only)
     evaluation._vector_stream_ok.cache_clear()
     try:
         gold = [t("(S (A a) (B b))")] * 12
@@ -260,3 +264,25 @@ def test_failed_stream_check_falls_back_to_numpy(monkeypatch):
         evaluation._vector_stream_ok.cache_clear()
     assert repr(got) == repr(bootstrap_test_reference(
         gold, list(gold), pred_b, iterations=50, seed=3))
+
+
+@pytest.mark.parametrize("n", [evaluation._VECTOR_MAX_N,
+                               evaluation._VECTOR_MAX_N + 1, 1100])
+def test_bootstrap_on_large_test_sets(monkeypatch, n):
+    """Up to ``_VECTOR_MAX_N`` sentences the vector stream draws, past it
+    numpy's generators do; either way the result is the reference's."""
+    gold, a, b = _random_systems(random.Random(n), n)
+    vector_calls = []
+    right = evaluation._vector_draws
+
+    def counted(seed, its, size):   # the first-use check draws 7 a row
+        if size == n:
+            vector_calls.append(len(its))
+        return right(seed, its, size)
+
+    monkeypatch.setattr(evaluation, "_vector_draws", counted)
+    for seed in (0, 5):
+        expected = bootstrap_test_reference(gold, a, b, 40, seed)
+        assert expected.observed_delta_f != 0
+        assert repr(bootstrap_test(gold, a, b, 40, seed)) == repr(expected)
+    assert sum(vector_calls) == (80 if n <= evaluation._VECTOR_MAX_N else 0)
