@@ -21,7 +21,8 @@ from oracles import (bench_module, brute_marginal_and_expectations,
                      corpus_stats_reference, enumerate_parses,
                      estimate_mcle_reference, inside_outside_reference,
                      random_grammar, random_nary_tree, raw_cll,
-                     sample_tree_from_grammar, tree_prob)
+                     sample_tree_from_grammar, tree_prob,
+                     viterbi_parse_reference)
 
 
 def t(s):
@@ -560,6 +561,27 @@ def test_viterbi_tie_break():
                    P("A", "a"): 1.0, P("B", "a"): 1.0})
     assert viterbi_parse(g, ["a", "a"]) == t("(S (A a) (A a))")
     assert viterbi_parse(g, ["a", "a", "a"]) == t("(S (S a) (S (A a) (A a)))")
+
+
+def _tie_break_grammar():
+    """``test_viterbi_tie_break``'s grammar: every parse of a^n ties."""
+    return Pcfg("S", {P("S", "A", "A"): 0.25, P("S", "B", "B"): 0.25,
+                      P("S", "S", "S"): 0.25, P("S", "a"): 0.25,
+                      P("A", "a"): 1.0, P("B", "a"): 1.0})
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(case=grammar_and_string())
+@example(case=_catalan_grammar(40))
+@example(case=(_tie_break_grammar(), ["a"] * 3))
+@example(case=(_tie_break_grammar(), ["a"] * 7))
+def test_viterbi_matches_reference(case):
+    # the same tree, ties and all, as the width loop Viterbi had on its own
+    g, x = case
+    got, want = viterbi_parse(g, x), viterbi_parse_reference(g, x)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert write_tree(got) == write_tree(want)
 
 
 def test_viterbi_empty_string(tiny_corpus):
