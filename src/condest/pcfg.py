@@ -273,18 +273,13 @@ def _splits(chart, w):
     return chart[1:w, :m], right
 
 
-def _rescale(base, closure, exp):
-    """Close each row of ``base`` (a span's values times 2**-exp[row])
-    under the unary rules (None: there are none), and scale it to a maximum
-    in [0.5, 1)."""
-    if closure is not None:
-        nt = base[:, :len(closure)]
-        closed = np.array([closure @ v for v in nt])   # per span, as always
-        base[:, :len(closure)] = np.where(closed > 0.0, closed, nt)
-    top = base.max(axis=1)
-    shift = np.frexp(top)[1]
-    return (np.ldexp(base, -shift[:, None]),
-            np.where(top > 0.0, exp + shift, ZERO_EXP))
+def _widths(chart, *rest, down=False):
+    """Each span width w (widest first if ``down``), its rows of ``chart``,
+    and the ``_splits`` views of ``chart`` and ``rest``; none at width 1."""
+    n = chart.shape[1] - 1
+    for w in range(n, 0, -1) if down else range(1, n + 1):
+        yield w, chart[w, :n + 1 - w], *(
+            _splits(c, w) for c in (chart,) + rest if w > 1)
 
 
 def inside_outside(g, x):
@@ -304,20 +299,27 @@ def inside_outside(g, x):
     exps = np.full((n + 1, n + 1), ZERO_EXP)
     pos, k = fg.entries(x)
     inside[1, pos, fg.lex_lhs[k]] = fg.lex_weight[k]
-    inside[1, :n], exps[1, :n] = _rescale(inside[1, :n], closure, 0)
     cells = np.arange(n)[:, None] * fg.size + fg.parent
-    tops = [0, 0]   # tops[w]: the exponent width w's splits are summed at
-    for w in range(2, n + 1):
-        m = n + 1 - w
-        (left, right), s = _splits(inside, w), np.add(*_splits(exps, w))
-        tops.append(s.max(axis=0))
-        # a rule-by-rule loop's products, summed over splits in its order
-        acc = (np.ldexp(left, (s - tops[w])[..., None])[..., fg.left]
-               * right[..., fg.right]).sum(axis=0)
-        base = np.bincount(cells[:m].ravel(), (fg.weight * acc).ravel(),
-                           m * fg.size)   # adds in rule order
-        inside[w, :m], exps[w, :m] = _rescale(
-            base.reshape(m, -1), closure, tops[w])
+    tops = [0, 0]   # tops[w]: the exponent of width w's base (0 at width 1)
+    for w, row, *splits in _widths(inside, exps):
+        m, base = len(row), row   # width 1's base: the lexical fill
+        if splits:
+            (left, right), s = splits[0], np.add(*splits[1])
+            tops.append(s.max(axis=0))
+            # a rule-by-rule loop's products, summed over splits in its order
+            acc = (np.ldexp(left, (s - tops[w])[..., None])[..., fg.left]
+                   * right[..., fg.right]).sum(axis=0)
+            base = np.bincount(cells[:m].ravel(), (fg.weight * acc).ravel(),
+                               m * fg.size).reshape(m, -1)   # in rule order
+        # close each span under the unary rules, scale it into [0.5, 1)
+        if closure is not None:
+            nt = base[:, :fg.n_nt]
+            closed = np.array([closure @ v for v in nt])   # per span, as always
+            base[:, :fg.n_nt] = np.where(closed > 0.0, closed, nt)
+        peak = base.max(axis=1)
+        shift = np.frexp(peak)[1]
+        np.ldexp(base, -shift[:, None], out=row)
+        exps[w, :m] = np.where(peak > 0.0, tops[w] + shift, ZERO_EXP)
     zm, ze = inside[n, 0, fg.start], int(exps[n, 0])
     if zm <= 0.0:
         return SentenceExpectations(NEG_INF, np.zeros(len(g.rules)), g.rules)
@@ -330,23 +332,22 @@ def inside_outside(g, x):
     grad = np.zeros_like(inside)
     grad[n, 0, fg.start] = 1.0 / zm
     expected = np.zeros(nb + nu + len(fg.lex_lhs))   # by slot
-    for w in range(n, 0, -1):
-        m = n + 1 - w
+    for w, grad_row, *splits in _widths(grad, inside, exps, down=True):
+        m = len(grad_row)
         shift = (exps[w, :m] - tops[w])[:, None]
-        gv = np.ldexp(grad[w, :m], -shift)
+        gv = np.ldexp(grad_row, -shift)
         if closure is not None:
             gv[:, :fg.n_nt] = gv[:, :fg.n_nt] @ closure
             expected[nb:nb + nu] += (
                 fg.u_weight * gv[:, fg.u_lhs]
                 * np.ldexp(inside[w, :m][:, fg.u_child], shift)).sum(axis=0)
-        if w == 1:
+        if not splits:
             break
-        (left, right), s = _splits(inside, w), np.add(*_splits(exps, w))
-        left, right = left[..., fg.left], right[..., fg.right]
+        (grad_left, grad_right), (left, right), (el, er) = splits
+        left, right, s = left[..., fg.left], right[..., fg.right], el + er
         gp = np.ldexp(fg.weight * gv[:, fg.parent], (s - tops[w])[..., None])
         gl = gp * left
         expected[:nb] += (gl * right).sum(axis=(0, 1))
-        grad_left, grad_right = _splits(grad, w)
         grad_left += (gp * right) @ fg.to_left
         grad_right += gl @ fg.to_right
     expected[nb + nu:] += np.bincount(
@@ -495,19 +496,17 @@ def viterbi_parse(g, x):
     back = np.full(best.shape, -1)
     pos, k = fg.entries(x)
     best[1, pos, fg.lex_lhs[k]] = fg.lex_log[k]
-    for w in range(1, n + 1):
-        m = n + 1 - w
-        if w > 1:
-            left, right = _splits(best, w)
+    for w, cells, *splits in _widths(best):
+        backs = back[w, :len(cells)]
+        for left, right in splits:   # none at width 1
             # a rule loop's sums; a tie goes to the first rule, first split
             sc = (fg.log_weight + left[..., fg.left]) + right[..., fg.right]
             by_rule = sc.max(axis=0)
             r = fg.by_head[np.arange(len(fg.heads)),
                            by_rule[:, fg.by_head].argmax(axis=2)]
-            best[w, :m, fg.heads] = np.take_along_axis(by_rule, r, 1).T
-            back[w, :m, fg.heads] = r.T
+            cells[:, fg.heads] = np.take_along_axis(by_rule, r, 1)
+            backs[:, fg.heads] = r
         # unary rules: bounded relaxation in rule order, strict improvements
-        cells, backs = best[w, :m], back[w, :m]
         for _ in range(fg.n_nt if fg.log_unary else 0):
             changed = False
             for slot, lhs, child, lw in fg.log_unary:

@@ -311,12 +311,13 @@ def beam_parse(model, words, cfg=None):
         pool = dict(frontier)
         best_logp = max(s[0] for s in pool.values())
         worklist = deque(sorted(pool.values(), key=_RANK))
+        shifts = {}   # stack id -> the shift half of its move view
         while worklist:
             state = worklist.popleft()
             logp, _, _, sid = state
             if pool[sid] is not state:
                 continue  # superseded
-            reduces, _ = model.move_view(*pair[sid], lookahead)
+            reduces, shifts[sid] = model.move_view(*pair[sid], lookahead)
             for move, lp in reduces:
                 new_logp = logp + lp
                 if new_logp < best_logp + log_thr:
@@ -339,7 +340,7 @@ def beam_parse(model, words, cfg=None):
         frontier = {}
         for state in states:
             sid = state[3]
-            lp = model.move_view(*pair[sid], lookahead)[1].get(lookahead)
+            lp = shifts[sid].get(lookahead)   # each was popped above
             if lp is None:
                 continue
             new_sid = apply(sid, move)

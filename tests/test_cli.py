@@ -112,6 +112,10 @@ def test_load_config_valid(data_dir, tmp_path):
     assert cfg.thresholds == (1e-6, 1e-9)
     assert cfg.observed_pair_filter is BeamConfig.require_observed_pairs
     assert cfg.head_rules is None
+    cfg = load_config(_write(tmp_path / "nofilter.cfg", _config(
+        "sr-joint-vs-cond", data_dir, tmp_path / "out",
+        "[beam]\nobserved_pair_filter = false\n")))
+    assert cfg.observed_pair_filter is False
 
 
 def test_unknown_section_or_key_is_refused(data_dir, tmp_path, capsys):
@@ -506,11 +510,13 @@ test = %s
     assert not (tmp_path / "tags.txt").exists()
 
 
-def test_sr_round_trip(data_dir, tmp_path):
+@pytest.mark.parametrize("flavor", ["joint", "cond"])
+def test_sr_round_trip(data_dir, tmp_path, flavor):
     model = str(tmp_path / "sr.txt")
+    heldout = (["--heldout", str(data_dir / "sr_heldout.mrg")]
+               if flavor == "cond" else [])   # the joint flavor reads none
     assert cli.main(["train-sr", "--train", str(data_dir / "sr_train.mrg"),
-                     "--heldout", str(data_dir / "sr_heldout.mrg"),
-                     "--flavor", "cond", "-o", model]) == 0
+                     *heldout, "--flavor", flavor, "-o", model]) == 0
     sents = _write(tmp_path / "sents.txt", "N V D N\nD N V\n")
     pred = str(tmp_path / "pred.mrg")
     assert cli.main(["parse-sr", "--model", model, "--input", sents,
@@ -655,6 +661,21 @@ def _drop_key(key):
     return edit
 
 
+def _set_key(key, value):
+    def edit(lines):
+        i = next(i for i, x in enumerate(lines) if x.startswith(key + "\t"))
+        lines[i] = key + "\t" + value
+        return i + 1
+    return edit
+
+
+def _unknown_move(lines):
+    i = lines.index("[joint]") + 1
+    context, _, count = lines[i].split("\t")
+    lines[i] = "\t".join((context, "shove X", count))
+    return i + 1
+
+
 def _bad_count(lines):
     i = lines.index("[joint]") + 1
     lines[i] = lines[i].rsplit("\t", 1)[0] + "\tx"
@@ -693,14 +714,18 @@ COMMANDS = {"tagger.txt": "tag --model", "sr.txt": "parse-sr --model",
     ("tagger.txt", _unknown_section),
     ("tagger.txt", _repeated_section),
     ("tagger.txt", _drop_key("variant")),
+    ("tagger.txt", _set_key("variant", "bogus")),
     ("sr.txt", _drop_key("start")),
+    ("sr.txt", _set_key("flavor", "bogus")),
+    ("sr.txt", _unknown_move),
     ("sr.txt", _bad_count),
     ("tagger.txt", _short_lambda_row),
     ("grammar.txt", _start_without_rules),
     ("grammar.txt", _weights_off_one),
     ("grammar.txt", _unary_cycle),
 ], ids=["one-field-row", "row-before-header", "unknown-section",
-        "repeated-section", "no-variant", "sr-no-start", "sr-bad-count",
+        "repeated-section", "no-variant", "bad-variant", "sr-no-start",
+        "sr-bad-flavor", "sr-unknown-move", "sr-bad-count",
         "short-lambda-row", "start-without-rules", "weights-off-one",
         "unary-cycle"])
 def test_malformed_model_exits_1(saved_models, tmp_path, capsys, model, edit):

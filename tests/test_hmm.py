@@ -198,6 +198,19 @@ def test_joint_decode_degenerate(det_corpus):
     assert model.log_partition(("ka", "li")) == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("variant", ["joint", "joint-prevword"])
+def test_dead_lattice_log_partition(variant):
+    # "a" is only ever X, and "b" only ever Y after Z, so no tagging of
+    # "a b" or "a b c" has nonzero probability: the lattice dies at the
+    # last word of one and before the last word of the other, the two
+    # places log_partition can find a zero sum
+    corpus = read_tagged("a_X c_W\nd_Z b_Y\n" * 2)
+    model = TaggerModel.train(variant, corpus, corpus)
+    assert model.log_partition(("a", "b")) == float("-inf")
+    assert model.log_partition(("a", "b", "c")) == float("-inf")
+    assert math.isfinite(model.log_partition(("a", "c")))
+
+
 def test_variant_validation(det_corpus):
     with pytest.raises(ValueError, match="unknown variant"):
         TaggerModel.train("bogus", det_corpus)
