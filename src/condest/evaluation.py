@@ -143,7 +143,8 @@ def bootstrap_test(gold, pred_a, pred_b, iterations=10000, seed=0):
     for counts in resampled_counts(n, iterations, seed):
         extreme += int(np.count_nonzero(
             np.abs(delta((counts @ rows).T) - observed) >= abs(observed)))
-    return BootstrapResult(extreme / iterations, iterations, seed, observed)
+    return BootstrapResult(extreme / iterations, iterations, seed,
+                           float(observed))
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,13 @@ decodes any of them; only the per-edge factor differs.
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
 
 from . import modelfile
-from .interp import CondTable, InterpolatedCondDist, fit_interpolation
+from .interp import Coder, CondTable, InterpolatedCondDist, fit_interpolation
 
 END = "<end>"
 UNK = "<unk>"
@@ -96,16 +95,31 @@ def write_tagged(corpus):
 
 
 class EmpiricalTables:
-    """Raw word counts, and one CondTable attribute per TABLES entry."""
+    """Raw word counts, and one CondTable attribute per TABLES entry, its
+    contexts and outcomes coded by word and tag ids (``count``)."""
 
     def __init__(self, word_counts):
         self.word_counts = word_counts  # raw, pre-UNK
+
+    def count(self, tags, columns, words=None):
+        """Fill each TABLES entry from integer-coded positions:
+        ``columns[name]`` holds the id array of each of its context fields,
+        the outcome ids, and the weights (None for 1 each).  Words are
+        numbered by the dict ``words`` (default ``self.words``), tags by
+        ``tags``; a context's code has one digit per field, in the radix of
+        the field's dict."""
+        ids = (words or self.words, tags) * 2   # by field: WP, TP, W, T
+        for name, (ctx, out) in TABLES.items():
+            rows, cols, weights = columns[name]
+            coder = Coder([ids[f] for f in ctx])
+            setattr(self, name, CondTable.from_codes(
+                coder, coder.code(rows), cols, list(ids[out]), weights))
 
     @functools.cached_property
     def tagset(self):
         """Sorted tags: every outcome of the transition table but the end
         marker.  Read only once the tables are filled."""
-        return tuple(sorted({t for _ctx, t, _c in self.trans.items()} - {END}))
+        return tuple(sorted(self.trans.outcomes() - {END}))
 
     @functools.cached_property
     def words(self):
@@ -147,46 +161,33 @@ def table_pairs(positions, name):
     return zip(zip(*(positions[f] for f in ctx)), positions[out])
 
 
-def _contexts(names, base, codes):
-    """The context tuples of row codes: a code's digits in ``base`` are ids
-    into ``names``, one array of symbols per field."""
-    fields = []
-    for field in reversed(names):
-        codes, digit = np.divmod(codes, base)
-        fields.insert(0, field[digit].tolist())
-    return list(zip(*fields))
-
-
 def collect_tables(train):
     """Exact counts over a corpus, including both end-marker transitions.
 
-    The walked columns are coded once, words (UNK mapping folded in) by
-    ``words`` and tags in order of first appearance, and each TABLES entry
-    counts the integer codes of its context fields and outcome."""
+    The walked columns are coded once: each distinct word is counted and
+    UNK-mapped to its id in ``words`` once, tags are numbered in order of
+    first appearance, and each TABLES entry counts the integer codes of
+    its context fields and outcome."""
     if not len(train):
         raise TaggingError("empty training corpus")
     words = list(chain.from_iterable(w for w, _t in train))
     tags = list(chain.from_iterable(t for _w, t in train))
-    tables = EmpiricalTables({w: float(c) for w, c in Counter(words).items()})
-    tag_id = {t: i for i, t in enumerate(dict.fromkeys([END, *tags]))}
+    raw = {w: i for i, w in enumerate(dict.fromkeys(words))}
+    raw_ids = np.fromiter(map(raw.get, words), np.intp, len(words))
+    tables = EmpiricalTables(dict(zip(raw, np.bincount(
+        raw_ids, minlength=len(raw)).astype(float).tolist())))
+    tag_ids = {t: i for i, t in enumerate(dict.fromkeys([END, *tags]))}
     # token slots in the walk, the END of each sentence before it (END is
     # id 0 of both columns)
     slots = np.arange(len(words)) + np.repeat(
         np.arange(1, len(train) + 1), [len(w) for w, _t in train])
     ws, ts = np.zeros((2, len(words) + len(train) + 1), dtype=np.int64)
-    ws[slots] = tables.word_ids(words)
-    ts[slots] = np.fromiter(map(tag_id.get, tags), np.int64, len(tags))
+    ws[slots] = tables.word_ids(list(raw))[raw_ids]
+    ts[slots] = np.fromiter(map(tag_ids.get, tags), np.int64, len(tags))
     positions = ws[:-1], ts[:-1], ws[1:], ts[1:]
-    names = [np.array(list(ids), dtype=object)
-             for ids in (tables.words, tag_id)] * 2
-    base = max(map(len, names))
-    for name, (ctx, out) in TABLES.items():
-        code = sum(positions[f] * base ** i
-                   for i, f in enumerate(reversed(ctx)))
-        setattr(tables, name, CondTable.from_codes(
-            code, positions[out],
-            functools.partial(_contexts, [names[f] for f in ctx], base),
-            names[out]))
+    tables.count(tag_ids, {
+        name: ([positions[f] for f in ctx], positions[out], None)
+        for name, (ctx, out) in TABLES.items()})
     return tables
 
 
@@ -247,17 +248,19 @@ class TaggerModel:
             # the field of the word the mixture reads (W or WP); P(t | word)
             # over (word, t); P(t | word, tprev) over (the finest table's
             # row, t); each row's weights; and the row of each
-            # (word, tprev), the empty row if unseen
+            # (word, tprev), the empty row if unseen, read off the finest
+            # table's row codes (word id, tag id)
             (by_word, _), _, (full, _) = self.mixture.components
-            ctxs = list(full.contexts())
-            at = np.array([(words.get(w, -1), index.get(s, -1))
-                           for w, s in ctxs], dtype=np.intp).reshape(-1, 2)
-            seen = (at >= 0).all(axis=1)
-            row_of = np.full((len(words), len(syms)), len(ctxs))
-            row_of[at[seen, 0], at[seen, 1]] = np.flatnonzero(seen)
+            w, tprev = full.coder.digits(full.row_codes())
+            at = np.array([index.get(t, -1) for t in full.coder.ids[1]],
+                          dtype=np.intp)[tprev]
+            seen = (w < len(words)) & (at >= 0)
+            row_of = np.full((len(words), len(syms)), len(w))
+            row_of[w[seen], at[seen]] = np.flatnonzero(seen)
             self._mix = (TABLES[MIXTURES[target][0]][0][0],
-                         by_word.matrix([(w,) for w in words], index), row_of,
-                         full.matrix(None, index),
+                         by_word.row_matrix(by_word.code_rows(
+                             np.arange(len(words))), index), row_of,
+                         full.row_matrix(np.arange(len(w) + 1), index),
                          self.mixture.count_weights(full.row_totals()))
 
     def _mixture(self, ids):
@@ -426,8 +429,24 @@ def save_tagger(model, path):
 def load_tagger(path):
     f = modelfile.read(path, TAGGER_SCHEMA, TaggingError)
     tables = EmpiricalTables(dict(f["word_counts"]))
-    for name in TABLES:
-        setattr(tables, name, modelfile.fill_table(f["table:" + name]))
+    # every symbol of the tables gets an id; a word missing from the
+    # vocabulary gets one after it, so it reads as no word of ``words``
+    words, tags = dict(tables.words), {END: 0}
+    ids, columns = (words, tags) * 2, {}
+    for name, (ctx, out) in TABLES.items():
+        rows, coded = f["table:" + name], []
+        for c, o, _k in rows:
+            syms = (*c.split(" "), o)
+            if len(syms) != len(ctx) + 1:
+                raise TaggingError("%s: [table:%s] context %r has %d fields, "
+                                   "expected %d" % (path, name, c,
+                                                    len(syms) - 1, len(ctx)))
+            coded.append([ids[f].setdefault(s, len(ids[f]))
+                          for f, s in zip((*ctx, out), syms)])
+        coded = np.array(coded, dtype=np.int64).reshape(-1, len(ctx) + 1).T
+        columns[name] = (list(coded[:-1]), coded[-1],
+                         [k for _c, _o, k in rows])
+    tables.count(tags, columns, words)
     if not tables.tagset:
         raise TaggingError("%s: [table:trans] has no tags" % path)
     variant = f["meta"]["variant"]

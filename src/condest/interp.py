@@ -6,9 +6,9 @@ weights are tied across contexts bucketed by frequency and fitted on
 heldout data by EM on the weight simplex.
 """
 
-import functools
 import math
 from collections import defaultdict
+from itertools import repeat
 
 import numpy as np
 
@@ -27,37 +27,113 @@ def bucket_ids(counts):
                     dtype=np.intp)[inverse]
 
 
-def _first_seen(codes):
-    """Each code's id when distinct codes are numbered in order of first
-    appearance, and the distinct codes in that order."""
-    order = np.argsort(codes)
-    new = np.ones(len(codes), dtype=bool)
-    np.not_equal(codes[order[1:]], codes[order[:-1]], out=new[1:])
-    ids = np.empty(len(codes), dtype=np.intp)
-    ids[order] = np.cumsum(new) - 1
-    first = np.minimum.reduceat(order, np.flatnonzero(new)) if len(codes) \
-        else order
-    by_first = np.argsort(first)
-    rank = np.empty(len(first), dtype=np.intp)
-    rank[by_first] = np.arange(len(first))
-    return rank[ids], codes[first[by_first]]
+def _runs(values):
+    """Where each run of equal values in a sorted array starts, and the run
+    of each value."""
+    new = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    return np.flatnonzero(new), np.cumsum(new) - 1
 
 
 def _count_pairs(rows, cols, weights=None):
-    """Count integer-coded (row, column) pairs: (row codes, ptr, cols,
-    counts, totals), rows and each row's columns in order of first
-    appearance, row r's entries at ``ptr[r]:ptr[r+1]``.  Each pair adds
-    its weight (default 1) to its count and its row's total, one at a
-    time in input order."""
+    """Count integer-coded (row, column) pairs, rows and each row's columns
+    numbered in order of first appearance.  Returns (keys, key_rows, ptr,
+    cols, counts, totals): the distinct row codes sorted, and the row of
+    each; then row r's entries at ``ptr[r]:ptr[r+1]``.  Each pair adds its
+    weight (default 1) to its count and its row's total, one at a time in
+    input order.
+
+    One stable sort of the positions by pair code makes each distinct pair
+    a run, first appearing at the run's first position, and each row's
+    pairs adjacent runs.  Only the distinct rows and pairs are sorted
+    again, by first appearance.  Each sort sorts values, a code with a
+    position in its low bits, which numpy does faster than ``argsort``."""
     cols = np.asarray(cols, dtype=np.int64)
     width = int(cols.max(initial=0)) + 1
-    pair, codes = _first_seen(np.asarray(rows, dtype=np.int64) * width + cols)
-    row, row_codes = _first_seen(codes // width)
-    entry = np.argsort(row * len(row) + np.arange(len(row)))
-    weights = np.ones(len(cols)) if weights is None else weights
-    return (row_codes, np.append(0, np.cumsum(np.bincount(row))),
-            codes[entry] % width, np.bincount(pair, weights)[entry],
-            np.bincount(row[pair], weights))
+    codes = np.asarray(rows, dtype=np.int64) * width + cols
+    n, shift = len(codes), len(codes).bit_length()
+    if int(codes.max(initial=0)) < 1 << (63 - shift):
+        key = np.sort(codes << shift | np.arange(n))
+        order, codes = key & ((1 << shift) - 1), key >> shift
+    else:   # codes too wide to share an int64 with a position
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+    start, run = _runs(codes)
+    first = order[start]
+    pair = np.empty(n, dtype=np.intp)   # the run of each position
+    pair[order] = run
+    keys = codes[start] // width
+    key_start, key = _runs(keys)
+    # a row first appears with the first of its pairs; a first position
+    # names its pair's run, and the run its row code's
+    key_first = np.minimum.reduceat(first, key_start) if len(key_start) \
+        else key_start
+    key_rows = np.empty(len(key_start), dtype=np.intp)
+    key_rows[key[pair[np.sort(key_first)]]] = np.arange(len(key_start))
+    row = key_rows[key]
+    # the runs by row, then by first position
+    entry = pair[np.sort(row * n + first) % n] if n else run
+    weights = np.ones(n) if weights is None else weights
+    return (keys[key_start], key_rows,
+            np.append(0, np.cumsum(np.bincount(row, minlength=len(key_rows)))),
+            codes[start][entry] % width,
+            np.bincount(pair, weights, len(start))[entry],
+            np.bincount(row[pair], weights, len(key_rows)))
+
+
+class Coder:
+    """Integer codes of context tuples: field i's symbols are numbered by
+    the dict ``ids[i]`` (0, 1, ... in its order), and a context's code has
+    one digit per field, in radix ``len(ids[i])``, the last field lowest."""
+
+    def __init__(self, ids):
+        self.ids = ids
+        self.radix = [len(d) for d in ids]
+
+    def code(self, columns):
+        """The code of each context given as one id array per field."""
+        code = 0
+        for col, radix in zip(columns, self.radix):
+            code = code * radix + col
+        return code
+
+    def encode(self, ctxs):
+        """The code of each context, -1 for one with an unnumbered symbol."""
+        ctxs = list(ctxs)
+        if not ctxs:
+            return np.zeros(0, dtype=np.int64)
+        columns = [np.fromiter(map(ids.get, col, repeat(-1)), np.int64,
+                               len(ctxs))
+                   for ids, col in zip(self.ids, zip(*ctxs))]
+        return np.where(np.min(columns, axis=0) < 0, -1, self.code(columns))
+
+    def digits(self, codes):
+        """The id array of each field of codes."""
+        out = []
+        for radix in reversed(self.radix):
+            codes, digit = np.divmod(codes, radix)
+            out.insert(0, digit)
+        return out
+
+    def decode(self, codes):
+        """The context tuple of each code."""
+        return list(zip(*(np.array(list(ids), dtype=object)[digit].tolist()
+                          for ids, digit in zip(self.ids, self.digits(codes)))))
+
+
+class _Enumeration:
+    """The coder of a table counted from context tuples: a context's code
+    is its row, contexts numbered in order of first appearance."""
+
+    def __init__(self, ids):
+        self.ids = ids
+
+    def encode(self, ctxs):
+        return np.array([self.ids.get(c, -1) for c in ctxs], dtype=np.int64)
+
+    def decode(self, codes):
+        ctxs = list(self.ids)
+        return [ctxs[c] for c in codes.tolist()]
 
 
 class CondTable:
@@ -65,7 +141,10 @@ class CondTable:
     (context, outcome) pairs in an integer-coded, CSR-like form.  Row r is
     the r-th context in order of first appearance; its entries
     ``ptr[r]:ptr[r+1]`` are outcome ids with their counts, in order of
-    first appearance.  One more row, empty, stands for unseen contexts."""
+    first appearance.  One more row, empty, stands for unseen contexts.
+
+    A context is found by its integer row code, made by the table's coder;
+    context tuples are made only for ``contexts`` and ``items``."""
 
     def __init__(self, pairs=(), weights=None):
         """Count ``pairs``, pair i adding ``weights[i]`` if given."""
@@ -73,56 +152,69 @@ class CondTable:
         for ctx, out in pairs:
             rows.append(ctx_ids.setdefault(ctx, len(ctx_ids)))
             cols.append(out_ids.setdefault(out, len(out_ids)))
-        self._load(list(ctx_ids), list(out_ids),
-                   *_count_pairs(rows, cols, weights)[1:])
+        self._load(_Enumeration(ctx_ids), list(out_ids),
+                   *_count_pairs(rows, cols, weights))
 
     @classmethod
-    def from_codes(cls, rows, cols, contexts, outcomes):
-        """Count coded pairs: ``contexts(codes)`` lists the contexts of
-        row codes, ``outcomes[c]`` is the outcome of column code c.  The
-        contexts are listed when first needed."""
-        codes, *counted = _count_pairs(rows, cols)
+    def from_codes(cls, coder, rows, cols, outcomes, weights=None):
+        """Count coded pairs, pair i adding ``weights[i]`` if given:
+        ``rows`` are ``coder``'s codes of the contexts, and column code c
+        stands for ``outcomes[c]``."""
         table = cls.__new__(cls)
-        table._load(functools.partial(contexts, codes), outcomes, *counted)
+        table._load(coder, outcomes, *_count_pairs(rows, cols, weights))
         return table
 
-    def _load(self, ctxs, outcomes, ptr, cols, counts, totals):
-        used, cols = np.unique(cols, return_inverse=True)
-        self._ctxs, self._outs = ctxs, [outcomes[c] for c in used.tolist()]
+    def _load(self, coder, outcomes, keys, key_rows, ptr, cols, counts,
+              totals):
+        self.coder, self._outs, self._ctxs = coder, outcomes, None
+        # a trailing key no code equals, for the empty row
+        self._keys = np.append(keys, -1)
+        self._key_rows = np.append(key_rows, len(key_rows))
         self._ptr, self._cols = np.append(ptr, ptr[-1]), cols
         self._counts, self._totals = counts, np.append(totals, 0.0)
         tot = np.repeat(self._totals, np.diff(self._ptr))
         self._probs = np.divide(counts, tot, out=np.zeros(len(counts)),
                                 where=tot > 0.0)
-        self._row = None
 
     def add(self, ctx, out, k=1.0):
         """Add ``k`` to the count of (ctx, out), merged into the arrays at
         once; counts and totals go on adding in call order."""
-        totals = dict(zip(self._contexts(), self._totals.tolist()))
+        totals = dict(zip(self.contexts(), self._totals.tolist()))
         totals[ctx] = totals.get(ctx, 0.0) + k
         rows = [*self.items(), (ctx, out, k)]
         new = CondTable([(c, o) for c, o, _k in rows], [k for *_p, k in rows])
-        self._load(new._ctxs, new._outs, new._ptr[:-1], new._cols,
-                   new._counts, [totals[c] for c in new._ctxs])
+        self._load(new.coder, new._outs, new._keys[:-1], new._key_rows[:-1],
+                   new._ptr[:-1], new._cols, new._counts,
+                   [totals[c] for c in new.contexts()])
 
-    def _contexts(self):
-        if callable(self._ctxs):
-            self._ctxs = self._ctxs()
+    def row_codes(self):
+        """Each row's code, in row order."""
+        codes = np.empty(len(self._keys) - 1, dtype=np.int64)
+        codes[self._key_rows[:-1]] = self._keys[:-1]
+        return codes
+
+    def contexts(self):
+        """The context of each row, decoded from the row codes once."""
+        if self._ctxs is None:
+            self._ctxs = self.coder.decode(self.row_codes())
         return self._ctxs
 
-    def _rows(self):
-        if self._row is None:
-            self._row = {c: r for r, c in enumerate(self._contexts())}
-        return self._row
+    def code_rows(self, codes):
+        """The row of each row code, the empty row for a code no row has."""
+        at = np.searchsorted(self._keys[:-1], codes)
+        return np.where(self._keys[at] == codes, self._key_rows[at],
+                        len(self._totals) - 1)
 
     def rows(self, ctxs):
         """The row of each context, the empty row for an unseen one."""
-        row, empty = self._rows(), len(self._totals) - 1
-        return np.array([row.get(c, empty) for c in ctxs], dtype=np.intp)
+        return self.code_rows(self.coder.encode(ctxs))
 
     def row_totals(self):
         return self._totals
+
+    def outcomes(self):
+        """The outcomes that have an entry."""
+        return {self._outs[c] for c in self._cols.tolist()}
 
     def _entries(self, rows):
         """Each entry of ``rows`` in turn: its row's place there, its index."""
@@ -145,11 +237,11 @@ class CondTable:
         return out
 
     def total(self, ctx):
-        return float(self.row_totals()[self.rows([ctx])[0]])
+        return float(self._totals[self.rows([ctx])[0]])
 
     def dist(self, ctx):
-        r = self._rows().get(ctx)
-        if r is None or self._totals[r] <= 0.0:
+        r = self.rows([ctx])[0]
+        if self._totals[r] <= 0.0:
             return {}
         a, b = self._ptr[r], self._ptr[r + 1]
         return {self._outs[c]: p for c, p in zip(self._cols[a:b].tolist(),
@@ -157,10 +249,11 @@ class CondTable:
 
     def matrix(self, ctxs, index):
         """``prob`` over ``ctxs`` × outcomes as one array; ``index`` maps an
-        outcome to its column, and other outcomes are left out.  ``ctxs``
-        None stands for every row, the empty row last."""
-        rows = (np.arange(len(self._totals)) if ctxs is None
-                else self.rows(ctxs))
+        outcome to its column, and other outcomes are left out."""
+        return self.row_matrix(self.rows(ctxs), index)
+
+    def row_matrix(self, rows, index):
+        """``matrix`` over rows given by number."""
         which, entry = self._entries(rows)
         col = np.array([index.get(o, -1) for o in self._outs],
                        dtype=np.intp)[self._cols[entry]]
@@ -168,13 +261,10 @@ class CondTable:
         out[which[col >= 0], col[col >= 0]] = self._probs[entry[col >= 0]]
         return out
 
-    def contexts(self):
-        return self._rows().keys()
-
     def items(self):
         ptr, cols = self._ptr.tolist(), self._cols.tolist()
         counts = self._counts.tolist()
-        for r, ctx in enumerate(self._contexts()):
+        for r, ctx in enumerate(self.contexts()):
             for e in range(ptr[r], ptr[r + 1]):
                 yield ctx, self._outs[cols[e]], counts[e]
 
@@ -199,29 +289,33 @@ def fit_mixture_weights(buckets, probs, max_iters=100, tol=1e-7):
     """
     k = probs.shape[1]
     use = (probs > 0.0).any(axis=1)
-    bid, codes = _first_seen(np.asarray(buckets)[use])
+    buckets = np.asarray(buckets)[use].tolist()
+    codes = {b: i for i, b in enumerate(dict.fromkeys(buckets))}
+    bid = np.array([codes[b] for b in buckets], dtype=np.intp)
     rows, ev = np.unique(np.column_stack([bid, probs[use]]), axis=0,
                          return_inverse=True)
     rid, probs = rows[:, 0].astype(np.intp), rows[:, 1:]
     order = np.argsort(bid, kind="stable")
     ev, bid = ev.reshape(-1)[order], bid[order]
     lam = np.full((len(codes), k), 1.0 / k)
+    cells = (bid[:, None] * k + np.arange(k)).reshape(-1)  # (bucket, comp)
     trace = []
     for _ in range(max_iters):
         terms = lam[rid] * probs
-        mix = sum(terms.T)
+        # a row of k < 8 terms sums left to right; so do cumsum and
+        # bincount, each bin in input order, as a loop does
+        mix = terms.sum(axis=1)
         logs = np.fromiter(map(math.log, mix.tolist()), float, len(mix))
-        # cumsum adds left to right, as a loop does; np.sum adds pairwise
         ll = float(np.cumsum(logs[ev])[-1]) if len(ev) else 0.0
-        acc = np.stack([np.bincount(bid, (t / mix)[ev], len(codes))
-                        for t in terms.T], axis=1)
-        tot = sum(acc.T)
+        acc = np.bincount(cells, (terms / mix[:, None])[ev].reshape(-1),
+                          len(codes) * k).reshape(-1, k)
+        tot = acc.sum(axis=1)
         lam = np.full_like(lam, 1.0 / k)
         lam[tot > 0] = acc[tot > 0] / tot[tot > 0, None]
         trace.append(ll)
         if len(trace) > 1 and ll - trace[-2] < tol * (abs(trace[-2]) + 1.0):
             break
-    return dict(zip(codes.tolist(), map(tuple, lam.tolist()))), trace
+    return dict(zip(codes, map(tuple, lam.tolist()))), trace
 
 
 class InterpolatedCondDist:

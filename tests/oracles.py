@@ -968,7 +968,8 @@ def bootstrap_test_reference(gold, pred_a, pred_b, iterations=10000, seed=0):
         idx = rng.integers(0, n, n)
         if abs(delta(idx) - observed) >= abs(observed):
             extreme += 1
-    return BootstrapResult(extreme / iterations, iterations, seed, observed)
+    return BootstrapResult(extreme / iterations, iterations, seed,
+                           float(observed))
 
 
 # ---------------------------------------------------------------------------

@@ -688,8 +688,14 @@ def _short_lambda_row(lines):
     return i + 1
 
 
-# A grammar that reads but is not a valid PCFG: the message names the file
+# A model that reads but is not a valid model: the message names the file
 # but no line.
+
+def _short_context(lines):
+    i = lines.index("[table:full0]") + 1
+    context, outcome, count = lines[i].split("\t")
+    lines[i] = "\t".join((context.split(" ")[0], outcome, count))
+
 
 def _start_without_rules(lines):
     lines[lines.index("start\tS")] = "start\tQ"
@@ -720,14 +726,15 @@ COMMANDS = {"tagger.txt": "tag --model", "sr.txt": "parse-sr --model",
     ("sr.txt", _unknown_move),
     ("sr.txt", _bad_count),
     ("tagger.txt", _short_lambda_row),
+    ("tagger.txt", _short_context),
     ("grammar.txt", _start_without_rules),
     ("grammar.txt", _weights_off_one),
     ("grammar.txt", _unary_cycle),
 ], ids=["one-field-row", "row-before-header", "unknown-section",
         "repeated-section", "no-variant", "bad-variant", "sr-no-start",
         "sr-bad-flavor", "sr-unknown-move", "sr-bad-count",
-        "short-lambda-row", "start-without-rules", "weights-off-one",
-        "unary-cycle"])
+        "short-lambda-row", "short-context", "start-without-rules",
+        "weights-off-one", "unary-cycle"])
 def test_malformed_model_exits_1(saved_models, tmp_path, capsys, model, edit):
     lines = (saved_models / model).read_text().split("\n")[:-1]
     lineno = edit(lines)

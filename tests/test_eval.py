@@ -99,6 +99,10 @@ def test_bootstrap_dominating_system():
     res = bootstrap_test(gold, pred_a, pred_b, iterations=300, seed=0)
     assert res.observed_delta_f > 0
     assert res.p_value < 0.05
+    # Python floats, as EvalReport's, so that their repr does not depend
+    # on numpy's version
+    assert type(res.observed_delta_f) is float
+    assert type(res.p_value) is float
 
 
 def test_bootstrap_deterministic():

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condest import toydata
+from condest import interp, toydata
 from condest.hmm import (END, MIXTURES, TABLES, UNK, VARIANT_FACTORS,
                          VARIANTS, TaggedCorpus, TaggerModel, TaggingError,
                          collect_tables, fit_deleted_interpolation,
                          load_tagger, read_tagged, save_tagger, table_pairs,
                          tagging_accuracy, write_tagged)
-from oracles import (ReferenceTagger, brute_tag_decode, brute_tag_marginals,
-                     brute_tag_partition, collect_tables_loop,
-                     fit_tagger_mixture_loop, heldout_events_loop)
+from oracles import (ReferenceTagger, bench_module, brute_tag_decode,
+                     brute_tag_marginals, brute_tag_partition,
+                     collect_tables_loop, fit_tagger_mixture_loop,
+                     heldout_events_loop)
 
 
 @pytest.fixture
@@ -71,8 +72,9 @@ def _rows(table):
 
 
 # Small vocabularies, so that words fall below the UNK threshold and
-# contexts repeat.
-TAGGED = st.lists(st.lists(st.tuples(st.sampled_from("abcde"),
+# contexts repeat; a word may be a literal UNK or spelled like a tag.
+WORDS = ("a", "b", "c", "d", "e", UNK, "X", "Y")
+TAGGED = st.lists(st.lists(st.tuples(st.sampled_from(WORDS),
                                      st.sampled_from("XYZ")),
                            min_size=1, max_size=5),
                   min_size=1, max_size=6).map(
@@ -93,6 +95,21 @@ def test_tables_and_events_match_add_loop(train, heldout):
     for target, names in MIXTURES.items():
         events = list(table_pairs(tb.walk(heldout), names[-1]))
         assert events == heldout_events_loop(tb, heldout, target)
+
+
+def test_tables_match_add_loop_at_scale(tmp_path):
+    """The benchmark's tagger-scale training corpus (bench/gen.py, seed
+    44): about 40k positions and 2.5k words, codes far larger than any
+    drawn above.  Every table in its insertion order, with its totals, and
+    the word counts equal those of one add per table and position."""
+    files, _sizes = bench_module("gen").gen_tagger(44, str(tmp_path))
+    with open(files["train"], encoding="utf-8") as f:
+        train = read_tagged(f.read())
+    tb = collect_tables(train)
+    word_counts, want = collect_tables_loop(train)
+    assert list(tb.word_counts.items()) == list(word_counts.items())
+    for name, table in want.items():
+        assert _rows(getattr(tb, name)) == _rows(table)
 
 
 def _reads(table, ctxs, index):
@@ -138,7 +155,7 @@ def _lattice_or_error(lattice, words):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(train=TAGGED, heldout=TAGGED,
-       test=st.lists(st.lists(st.sampled_from("abcdef"), min_size=1,
+       test=st.lists(st.lists(st.sampled_from((*WORDS, "f")), min_size=1,
                               max_size=5), max_size=4))
 def test_lattice_matches_reference_tables(train, heldout, test):
     """The mixture fits, every position factor and every sentence's lattice
@@ -154,7 +171,7 @@ def test_lattice_matches_reference_tables(train, heldout, test):
             assert (list(mix.lambdas.items()), mix.trace) == \
                 (list(lambdas.items()), trace)
         oracle = ReferenceTagger(model, word_counts, ref)
-        words = sorted({model.tables.map_word(w) for w in "abcdef"}
+        words = sorted({model.tables.map_word(w) for w in (*WORDS, "f")}
                        | {END, UNK})
         for wprev in words:
             for w in words:
@@ -331,6 +348,29 @@ def test_save_load_round_trip(tmp_path):
                 model.posterior_decode(words)
             assert loaded.sequence_log_prob(words, tags) == pytest.approx(
                 model.sequence_log_prob(words, tags))
+        # every word pair, unseen and UNK included, to the bit: the loaded
+        # tables number words in the file's order, not the corpus's
+        words = [*model.tables.word_counts, UNK, END, "unseen"]
+        wprev, w = zip(*((a, b) for a in words for b in words))
+        assert loaded.edge_weight(wprev, w).tobytes() == \
+            model.edge_weight(wprev, w).tobytes()
+
+
+def test_training_decodes_no_context(monkeypatch, tmp_path):
+    """Tables stay coded from counting through the fits and the compiled
+    arrays: training the four variants makes no context tuple of a table.
+    A model file lists them."""
+    made = []
+    decode = interp.Coder.decode
+    monkeypatch.setattr(interp.Coder, "decode",
+                        lambda self, codes: made.append(len(codes))
+                        or decode(self, codes))
+    train, heldout, _test = toydata.hmm_corpora()
+    models = [TaggerModel.train(variant, train, heldout)
+              for variant in VARIANTS]
+    assert made == []
+    save_tagger(models[1], tmp_path / "tagger.txt")
+    assert len(made) == len(TABLES)
 
 
 def _scalar_edge(model, wprev, w, tprev, t):

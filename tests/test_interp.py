@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from condest import toydata
 from condest.hmm import collect_tables, fit_deleted_interpolation
-from condest.interp import (CondTable, InterpolatedCondDist, bucket_id,
-                            fit_interpolation, fit_mixture_weights)
+from condest.interp import (CondTable, InterpolatedCondDist, _count_pairs,
+                            bucket_id, fit_interpolation, fit_mixture_weights)
 from condest.shiftreduce import estimate_conditional, oracle_moves
 from condest.trees import Corpus, binarize, tree_yield
 from oracles import (DictCondTable, collect_tables_loop,
@@ -101,6 +101,19 @@ def test_coded_table_matches_dict_table(rows, later, weighted):
         got.add(ctx, out, k)
         want.add(ctx, out, k)
     _same_table(got, want)
+
+
+def test_wide_codes_count_alike():
+    """Row codes too wide to share an int64 with a position are sorted the
+    other way; the counts, totals and orders come out the same."""
+    rng = np.random.default_rng(0)
+    rows, cols = rng.integers(0, 6, 50), rng.integers(0, 4, 50)
+    weights = rng.random(50)
+    narrow = _count_pairs(rows, cols, weights)
+    wide = _count_pairs(rows * 2 ** 57, cols, weights)   # 50 needs 6 bits
+    assert wide[0].tolist() == (narrow[0] * 2 ** 57).tolist()
+    assert [a.tobytes() for a in wide[1:]] == \
+        [a.tobytes() for a in narrow[1:]]
 
 
 def fit_events(events, k, **kw):
