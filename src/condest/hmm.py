@@ -9,13 +9,15 @@ decodes any of them; only the per-edge factor differs.
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
 
 from . import modelfile
-from .interp import Coder, CondTable, InterpolatedCondDist, fit_interpolation
+from .interp import (InterpolatedCondDist, count_tables, fit_interpolation,
+                     table_columns)
 
 END = "<end>"
 UNK = "<unk>"
@@ -96,24 +98,12 @@ def write_tagged(corpus):
 
 class EmpiricalTables:
     """Raw word counts, and one CondTable attribute per TABLES entry, its
-    contexts and outcomes coded by word and tag ids (``count``)."""
+    contexts and outcomes coded by the word ids (``words``) and the tag
+    ids (``tags``, END first)."""
 
-    def __init__(self, word_counts):
+    def __init__(self, word_counts, tags):
         self.word_counts = word_counts  # raw, pre-UNK
-
-    def count(self, tags, columns, words=None):
-        """Fill each TABLES entry from integer-coded positions:
-        ``columns[name]`` holds the id array of each of its context fields,
-        the outcome ids, and the weights (None for 1 each).  Words are
-        numbered by the dict ``words`` (default ``self.words``), tags by
-        ``tags``; a context's code has one digit per field, in the radix of
-        the field's dict."""
-        ids = (words or self.words, tags) * 2   # by field: WP, TP, W, T
-        for name, (ctx, out) in TABLES.items():
-            rows, cols, weights = columns[name]
-            coder = Coder([ids[f] for f in ctx])
-            setattr(self, name, CondTable.from_codes(
-                coder, coder.code(rows), cols, list(ids[out]), weights))
+        self.tags = tags
 
     @functools.cached_property
     def tagset(self):
@@ -145,49 +135,37 @@ class EmpiricalTables:
             return w
         return w if self.word_counts.get(w, 0) >= UNK_THRESHOLD else UNK
 
-    def walk(self, corpus):
-        """Positions j = 1..m+1 of each sentence as the four columns of
-        TABLES, words UNK-mapped; sentences share the END between them."""
-        ws, ts = [END], [END]
-        for words, tags in corpus:
-            ws += [*map(self.map_word, words), END]
-            ts += [*tags, END]
+    def positions(self, corpus):
+        """Positions j = 1..m+1 of each sentence as the four id columns of
+        TABLES, coded by these tables' ids (a word as map_word maps it, a
+        tag they lack as -1); sentences share the END between them."""
+        words = list(chain.from_iterable(w for w, _t in corpus))
+        tags = list(chain.from_iterable(t for _w, t in corpus))
+        slots = np.arange(len(words)) + np.repeat(
+            np.arange(1, len(corpus) + 1), [len(w) for w, _t in corpus])
+        # the slot of each token; the others hold END, id 0 of both
+        ws, ts = np.zeros((2, len(words) + len(corpus) + 1), dtype=np.int64)
+        ws[slots] = self.word_ids(words)
+        ts[slots] = np.fromiter(map(self.tags.get, tags, repeat(-1)),
+                                np.int64, len(tags))
         return ws[:-1], ts[:-1], ws[1:], ts[1:]
 
 
-def table_pairs(positions, name):
-    """Table ``name``'s (context, outcome) pairs over walked positions."""
-    ctx, out = TABLES[name]
-    return zip(zip(*(positions[f] for f in ctx)), positions[out])
-
-
 def collect_tables(train):
-    """Exact counts over a corpus, including both end-marker transitions.
-
-    The walked columns are coded once: each distinct word is counted and
-    UNK-mapped to its id in ``words`` once, tags are numbered in order of
-    first appearance, and each TABLES entry counts the integer codes of
-    its context fields and outcome."""
+    """Exact counts over a corpus, including both end-marker transitions:
+    each TABLES entry counts the integer codes of its context fields and
+    outcome over the coded positions, tags numbered in order of first
+    appearance."""
     if not len(train):
         raise TaggingError("empty training corpus")
-    words = list(chain.from_iterable(w for w, _t in train))
-    tags = list(chain.from_iterable(t for _w, t in train))
-    raw = {w: i for i, w in enumerate(dict.fromkeys(words))}
-    raw_ids = np.fromiter(map(raw.get, words), np.intp, len(words))
-    tables = EmpiricalTables(dict(zip(raw, np.bincount(
-        raw_ids, minlength=len(raw)).astype(float).tolist())))
-    tag_ids = {t: i for i, t in enumerate(dict.fromkeys([END, *tags]))}
-    # token slots in the walk, the END of each sentence before it (END is
-    # id 0 of both columns)
-    slots = np.arange(len(words)) + np.repeat(
-        np.arange(1, len(train) + 1), [len(w) for w, _t in train])
-    ws, ts = np.zeros((2, len(words) + len(train) + 1), dtype=np.int64)
-    ws[slots] = tables.word_ids(list(raw))[raw_ids]
-    ts[slots] = np.fromiter(map(tag_ids.get, tags), np.int64, len(tags))
-    positions = ws[:-1], ts[:-1], ws[1:], ts[1:]
-    tables.count(tag_ids, {
-        name: ([positions[f] for f in ctx], positions[out], None)
-        for name, (ctx, out) in TABLES.items()})
+    tables = EmpiricalTables(
+        {w: float(c) for w, c in Counter(
+            chain.from_iterable(w for w, _t in train)).items()},
+        {t: i for i, t in enumerate(dict.fromkeys(
+            [END, *chain.from_iterable(t for _w, t in train)]))})
+    vars(tables).update(count_tables(
+        TABLES, (tables.words, tables.tags) * 2,
+        dict.fromkeys(TABLES, (tables.positions(train), None))))
     return tables
 
 
@@ -195,15 +173,17 @@ def fit_deleted_interpolation(tables, heldout, target="pr0"):
     """Fit bucketed mixture weights on heldout data by EM.
 
     target "pr0" mixes P(T|W), P(T|T_prev), P(T|W,T_prev); target "pr1"
-    mixes the previous-word analogues.  The heldout events are the pairs of
-    the finest table over the heldout positions."""
+    mixes the previous-word analogues.  The heldout events are the
+    finest table's (context, outcome) at each heldout position, coded by
+    the tables' ids."""
     if not len(heldout):
         raise TaggingError("empty heldout corpus")
     if target not in MIXTURES:
         raise ValueError("target must be 'pr0' or 'pr1'")
-    return fit_interpolation(
-        tables.components(target),
-        table_pairs(tables.walk(heldout), MIXTURES[target][-1]))
+    ctx, out = TABLES[MIXTURES[target][-1]]
+    positions = tables.positions(heldout)
+    return fit_interpolation(tables.components(target),
+                             [positions[f] for f in ctx], positions[out])
 
 
 class TaggerModel:
@@ -290,9 +270,10 @@ class TaggerModel:
             raise TaggingError("words/tags length mismatch")
         if any(t not in self._index for t in tags):
             return float("-inf")
-        wp, tp, w, t = self.tables.walk([(words, tags)])
+        ws, ts = [END, *words, END], [END, *tags, END]
         lp = 0.0
-        for weights, a, b in zip(self.edge_weight(wp, w), tp, t):
+        for weights, a, b in zip(self.edge_weight(ws[:-1], ws[1:]), ts[:-1],
+                                 ts[1:]):
             p = weights[self._index[a], self._index[b]]
             if p <= 0.0:
                 return float("-inf")
@@ -405,8 +386,8 @@ def tagging_accuracy(pred, gold):
 TAGGER_SCHEMA = {
     "meta": {"variant": modelfile.one_of(*VARIANTS)},
     "word_counts": (str, modelfile.number),
-    **{"table:" + name: (str, str, modelfile.number)
-       for name in TABLES},
+    **{"table:" + name: (modelfile.context(len(ctx)), str, modelfile.number)
+       for name, (ctx, _out) in TABLES.items()},
     **{"lambdas:" + target: (int,) + (modelfile.number,) * len(comps)
        for target, comps in MIXTURES.items()},
 }
@@ -428,25 +409,13 @@ def save_tagger(model, path):
 
 def load_tagger(path):
     f = modelfile.read(path, TAGGER_SCHEMA, TaggingError)
-    tables = EmpiricalTables(dict(f["word_counts"]))
+    tables = EmpiricalTables(dict(f["word_counts"]), {END: 0})
     # every symbol of the tables gets an id; a word missing from the
     # vocabulary gets one after it, so it reads as no word of ``words``
-    words, tags = dict(tables.words), {END: 0}
-    ids, columns = (words, tags) * 2, {}
-    for name, (ctx, out) in TABLES.items():
-        rows, coded = f["table:" + name], []
-        for c, o, _k in rows:
-            syms = (*c.split(" "), o)
-            if len(syms) != len(ctx) + 1:
-                raise TaggingError("%s: [table:%s] context %r has %d fields, "
-                                   "expected %d" % (path, name, c,
-                                                    len(syms) - 1, len(ctx)))
-            coded.append([ids[f].setdefault(s, len(ids[f]))
-                          for f, s in zip((*ctx, out), syms)])
-        coded = np.array(coded, dtype=np.int64).reshape(-1, len(ctx) + 1).T
-        columns[name] = (list(coded[:-1]), coded[-1],
-                         [k for _c, _o, k in rows])
-    tables.count(tags, columns, words)
+    ids = (dict(tables.words), tables.tags) * 2
+    vars(tables).update(count_tables(TABLES, ids, {
+        name: table_columns(f["table:" + name], (*ctx, out), ids)
+        for name, (ctx, out) in TABLES.items()}))
     if not tables.tagset:
         raise TaggingError("%s: [table:trans] has no tags" % path)
     variant = f["meta"]["variant"]

@@ -7,8 +7,9 @@ heldout data by EM on the weight simplex.
 """
 
 import math
+import operator
 from collections import defaultdict
-from itertools import repeat
+from itertools import chain, count, cycle, repeat
 
 import numpy as np
 
@@ -48,9 +49,12 @@ def _count_pairs(rows, cols, weights=None):
     pairs adjacent runs.  Only the distinct rows and pairs are sorted
     again, by first appearance.  Each sort sorts values, a code with a
     position in its low bits, which numpy does faster than ``argsort``."""
-    cols = np.asarray(cols, dtype=np.int64)
-    width = int(cols.max(initial=0)) + 1
-    codes = np.asarray(rows, dtype=np.int64) * width + cols
+    cols, rows = np.asarray(cols, dtype=np.int64), np.asarray(rows, np.int64)
+    width, names = int(cols.max(initial=0)) + 1, None
+    if int(rows.max(initial=0)) > (2 ** 63 - width) // width:
+        # pair codes would overflow: count the rows' ranks instead
+        names, rows = np.unique(rows, return_inverse=True)
+    codes = rows * width + cols
     n, shift = len(codes), len(codes).bit_length()
     if int(codes.max(initial=0)) < 1 << (63 - shift):
         key = np.sort(codes << shift | np.arange(n))
@@ -74,7 +78,8 @@ def _count_pairs(rows, cols, weights=None):
     # the runs by row, then by first position
     entry = pair[np.sort(row * n + first) % n] if n else run
     weights = np.ones(n) if weights is None else weights
-    return (keys[key_start], key_rows,
+    return (keys[key_start] if names is None else names[keys[key_start]],
+            key_rows,
             np.append(0, np.cumsum(np.bincount(row, minlength=len(key_rows)))),
             codes[start][entry] % width,
             np.bincount(pair, weights, len(start))[entry],
@@ -84,28 +89,31 @@ def _count_pairs(rows, cols, weights=None):
 class Coder:
     """Integer codes of context tuples: field i's symbols are numbered by
     the dict ``ids[i]`` (0, 1, ... in its order), and a context's code has
-    one digit per field, in radix ``len(ids[i])``, the last field lowest."""
+    one digit per field, in radix ``len(ids[i])``, the last field lowest;
+    -1 for a context of another length or with a symbol its field lacks.
+    The radices are read once, so the dicts are never extended after."""
 
     def __init__(self, ids):
         self.ids = ids
         self.radix = [len(d) for d in ids]
 
     def code(self, columns):
-        """The code of each context given as one id array per field."""
+        """The code of each context given as one id array per field, an id
+        of -1 standing for an unseen symbol."""
         code = 0
         for col, radix in zip(columns, self.radix):
             code = code * radix + col
+        if min(np.min(col, initial=0) for col in columns) < 0:
+            code = np.where(np.min(columns, axis=0) < 0, -1, code)
         return code
 
-    def encode(self, ctxs):
-        """The code of each context, -1 for one with an unnumbered symbol."""
-        ctxs = list(ctxs)
-        if not ctxs:
-            return np.zeros(0, dtype=np.int64)
-        columns = [np.fromiter(map(ids.get, col, repeat(-1)), np.int64,
-                               len(ctxs))
-                   for ids, col in zip(self.ids, zip(*ctxs))]
-        return np.where(np.min(columns, axis=0) < 0, -1, self.code(columns))
+    def encode(self, ctx):
+        """The code of one context tuple, made in Python."""
+        code = 0 if len(ctx) == len(self.ids) else -1
+        for sym, ids, radix in zip(ctx, self.ids, self.radix):
+            i = ids.get(sym, radix)
+            code = code * radix + i if code >= 0 and i < radix else -1
+        return code
 
     def digits(self, codes):
         """The id array of each field of codes."""
@@ -121,21 +129,6 @@ class Coder:
                           for ids, digit in zip(self.ids, self.digits(codes)))))
 
 
-class _Enumeration:
-    """The coder of a table counted from context tuples: a context's code
-    is its row, contexts numbered in order of first appearance."""
-
-    def __init__(self, ids):
-        self.ids = ids
-
-    def encode(self, ctxs):
-        return np.array([self.ids.get(c, -1) for c in ctxs], dtype=np.int64)
-
-    def decode(self, codes):
-        ctxs = list(self.ids)
-        return [ctxs[c] for c in codes.tolist()]
-
-
 class CondTable:
     """Empirical conditional distribution P(outcome | context), counts of
     (context, outcome) pairs in an integer-coded, CSR-like form.  Row r is
@@ -146,23 +139,11 @@ class CondTable:
     A context is found by its integer row code, made by the table's coder;
     context tuples are made only for ``contexts`` and ``items``."""
 
-    def __init__(self, pairs=(), weights=None):
-        """Count ``pairs``, pair i adding ``weights[i]`` if given."""
-        ctx_ids, out_ids, rows, cols = {}, {}, [], []
-        for ctx, out in pairs:
-            rows.append(ctx_ids.setdefault(ctx, len(ctx_ids)))
-            cols.append(out_ids.setdefault(out, len(out_ids)))
-        self._load(_Enumeration(ctx_ids), list(out_ids),
-                   *_count_pairs(rows, cols, weights))
-
-    @classmethod
-    def from_codes(cls, coder, rows, cols, outcomes, weights=None):
+    def __init__(self, coder, rows, cols, outcomes, weights=None):
         """Count coded pairs, pair i adding ``weights[i]`` if given:
         ``rows`` are ``coder``'s codes of the contexts, and column code c
         stands for ``outcomes[c]``."""
-        table = cls.__new__(cls)
-        table._load(coder, outcomes, *_count_pairs(rows, cols, weights))
-        return table
+        self._load(coder, outcomes, *_count_pairs(rows, cols, weights))
 
     def _load(self, coder, outcomes, keys, key_rows, ptr, cols, counts,
               totals):
@@ -175,17 +156,26 @@ class CondTable:
         tot = np.repeat(self._totals, np.diff(self._ptr))
         self._probs = np.divide(counts, tot, out=np.zeros(len(counts)),
                                 where=tot > 0.0)
+        self._reads = None
 
     def add(self, ctx, out, k=1.0):
         """Add ``k`` to the count of (ctx, out), merged into the arrays at
-        once; counts and totals go on adding in call order."""
+        once; counts and totals go on adding in call order.  The table is
+        recounted over copies of its coder's dicts, so the dicts it shares
+        with other tables are never extended."""
+        width = len(self.coder.ids)
+        if len(ctx) != width:
+            raise ValueError("context %r has %d fields, expected %d"
+                             % (ctx, len(ctx), width))
         totals = dict(zip(self.contexts(), self._totals.tolist()))
         totals[ctx] = totals.get(ctx, 0.0) + k
-        rows = [*self.items(), (ctx, out, k)]
-        new = CondTable([(c, o) for c, o, _k in rows], [k for *_p, k in rows])
-        self._load(new.coder, new._outs, new._keys[:-1], new._key_rows[:-1],
-                   new._ptr[:-1], new._cols, new._counts,
-                   [totals[c] for c in new.contexts()])
+        ids = [*map(dict, self.coder.ids), dict(zip(self._outs, count()))]
+        cols, weights = table_columns([*self.items(), (ctx, out, k)],
+                                      range(width + 1), ids)
+        coder = Coder(ids[:width])
+        self._load(coder, list(ids[width]), *_count_pairs(
+            coder.code([cols[f] for f in range(width)]), cols[width],
+            weights)[:-1], list(totals.values()))
 
     def row_codes(self):
         """Each row's code, in row order."""
@@ -205,9 +195,16 @@ class CondTable:
         return np.where(self._keys[at] == codes, self._key_rows[at],
                         len(self._totals) - 1)
 
-    def rows(self, ctxs):
-        """The row of each context, the empty row for an unseen one."""
-        return self.code_rows(self.coder.encode(ctxs))
+    def _row(self, ctx):
+        """The row of one context, found in a dict of the row codes; the
+        first such read makes it, and the table's arrays as lists."""
+        if self._reads is None:
+            self._reads = (dict(zip(self.row_codes().tolist(), count())),
+                           self._ptr.tolist(), self._totals.tolist(),
+                           [self._outs[c] for c in self._cols.tolist()],
+                           self._probs.tolist())
+        return self._reads[0].get(self.coder.encode(ctx),
+                                  len(self._keys) - 1)
 
     def row_totals(self):
         return self._totals
@@ -226,31 +223,31 @@ class CondTable:
     def prob(self, ctx, out):
         return self.dist(ctx).get(out, 0.0)
 
-    def probs(self, ctxs, outs):
-        """``prob`` of each (context, outcome) pair, as one array."""
-        which, entry = self._entries(self.rows(ctxs))
-        ids = {o: i for i, o in enumerate(self._outs)}
-        hit = self._cols[entry] == np.array([ids.get(o, -1) for o in outs],
-                                            dtype=np.intp)[which]
-        out = np.zeros(len(outs))
+    def probs(self, rows, outs):
+        """The probability of outcome id ``outs[i]`` (an index into this
+        table's outcomes, -1 for none of them) in row ``rows[i]``."""
+        which, entry = self._entries(rows)
+        hit = self._cols[entry] == np.asarray(outs)[which]
+        out = np.zeros(len(rows))
         out[which[hit]] = self._probs[entry[hit]]
         return out
 
     def total(self, ctx):
-        return float(self._totals[self.rows([ctx])[0]])
+        r = self._row(ctx)
+        return self._reads[2][r]
 
     def dist(self, ctx):
-        r = self.rows([ctx])[0]
-        if self._totals[r] <= 0.0:
+        r = self._row(ctx)
+        _rows, ptr, totals, outs, probs = self._reads
+        if totals[r] <= 0.0:
             return {}
-        a, b = self._ptr[r], self._ptr[r + 1]
-        return {self._outs[c]: p for c, p in zip(self._cols[a:b].tolist(),
-                                                 self._probs[a:b].tolist())}
+        return dict(zip(outs[ptr[r]:ptr[r + 1]], probs[ptr[r]:ptr[r + 1]]))
 
     def matrix(self, ctxs, index):
         """``prob`` over ``ctxs`` × outcomes as one array; ``index`` maps an
         outcome to its column, and other outcomes are left out."""
-        return self.row_matrix(self.rows(ctxs), index)
+        codes = np.array([self.coder.encode(c) for c in ctxs], np.int64)
+        return self.row_matrix(self.code_rows(codes), index)
 
     def row_matrix(self, rows, index):
         """``matrix`` over rows given by number."""
@@ -267,6 +264,44 @@ class CondTable:
         for r, ctx in enumerate(self.contexts()):
             for e in range(ptr[r], ptr[r + 1]):
                 yield ctx, self._outs[cols[e]], counts[e]
+
+
+def code_columns(rows, ids, grow=True):
+    """Rows of symbols as one id array per column, column j's symbols
+    numbered by the dict ``ids[j]`` (one dict may serve several columns): a
+    symbol the dict lacks gets the next id, or without ``grow`` reads as
+    -1.  The rows are coded as they stream by, and none of them is kept."""
+    look = {id(d): defaultdict(count(len(d)).__next__ if grow else
+                               repeat(-1).__next__, d) for d in ids}
+    columns = cycle([look[id(d)] for d in ids])
+    codes = np.fromiter(map(operator.getitem, columns,
+                            chain.from_iterable(rows)), np.int64)
+    for d in ids if grow else ():
+        d.update(look[id(d)])
+    return codes.reshape(-1, len(ids)).T
+
+
+def table_columns(rows, fields, ids):
+    """(context, outcome, count) rows as ``count_tables`` takes them: the
+    id arrays of ``fields``, the context's then the outcome's, coded by
+    ``code_columns`` through ``ids[f]``, and the counts as weights."""
+    return (dict(zip(fields, code_columns(((*c, o) for c, o, _k in rows),
+                                          [ids[f] for f in fields]))),
+            np.array([k for _c, _o, k in rows]))
+
+
+def count_tables(decl, ids, columns):
+    """One CondTable per entry of ``decl``, name -> (context fields,
+    outcome field), counted from ``columns[name]``: (id arrays indexed by
+    field, weights or None for 1 each).  Field f's symbols are numbered by
+    the dict ``ids[f]``, so tables that share a dict share its numbers."""
+    tables = {}
+    for name, (ctx, out) in decl.items():
+        cols, weights = columns[name]
+        coder = Coder([ids[f] for f in ctx])
+        tables[name] = CondTable(coder, coder.code([cols[f] for f in ctx]),
+                                 cols[out], list(ids[out]), weights)
+    return tables
 
 
 def fit_mixture_weights(buckets, probs, max_iters=100, tol=1e-7):
@@ -335,8 +370,7 @@ class InterpolatedCondDist:
         self.uniform = tuple([1.0 / self._k] * self._k)
 
     def project(self, full_ctx, i):
-        _, idx = self.components[i]
-        return tuple(full_ctx[j] for j in idx)
+        return tuple(map(full_ctx.__getitem__, self.components[i][1]))
 
     def bucket(self, full_ctx):
         return bucket_id(self.components[-1][0].total(full_ctx))
@@ -362,17 +396,17 @@ class InterpolatedCondDist:
         return dict(out)
 
 
-def fit_interpolation(components, heldout_events):
-    """Fit an InterpolatedCondDist to (full_ctx, outcome) heldout pairs.
-    Each component's probabilities of all the events are gathered at
-    once, and the events are bucketed by their full context's count in the
-    finest component."""
-    events = list(heldout_events)
-    ctxs = [c for c, _out in events]
-    outs = [out for _c, out in events]
-    probs = np.stack([table.probs([tuple(c[j] for j in idx) for c in ctxs],
-                                  outs) for table, idx in components], axis=1)
-    finest = components[-1][0]
+def fit_interpolation(components, columns, outcomes):
+    """Fit an InterpolatedCondDist to heldout events given as id arrays,
+    one per field of the full context and the outcomes', -1 for a symbol
+    the tables lack.  The components share one id dict per kind of field,
+    so a component's rows are its coder's codes of its projected columns.
+    The events are bucketed by their full context's count in the finest
+    (last) component."""
+    rows = [table.code_rows(table.coder.code([columns[j] for j in idx]))
+            for table, idx in components]
+    probs = np.stack([table.probs(r, outcomes)
+                      for (table, _), r in zip(components, rows)], axis=1)
     lambdas, trace = fit_mixture_weights(
-        bucket_ids(finest.row_totals()[finest.rows(ctxs)]), probs)
+        bucket_ids(components[-1][0].row_totals()[rows[-1]]), probs)
     return InterpolatedCondDist(components, lambdas, trace)

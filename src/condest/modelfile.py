@@ -12,8 +12,6 @@ fields before its first ``number`` are its key, unique in the section.
 
 import math
 
-from .interp import CondTable
-
 
 def number(text):
     """A finite float."""
@@ -28,6 +26,17 @@ def one_of(*choices):
         if text not in choices:
             raise ValueError("expected one of %s" % ", ".join(choices))
         return text
+    return convert
+
+
+def context(width):
+    """A space-joined context of ``width`` symbols, read as a tuple."""
+    def convert(text):
+        ctx = tuple(text.split(" "))
+        if len(ctx) != width:
+            raise ValueError("context %r has %d fields, expected %d"
+                             % (text, len(ctx), width))
+        return ctx
     return convert
 
 
@@ -102,10 +111,3 @@ def table_rows(table, outcome=str):
     """A CondTable's rows: space-joined context, outcome, count."""
     return [(" ".join(ctx), outcome(out), c)
             for ctx, out, c in sorted(table.items())]
-
-
-def fill_table(rows):
-    """The CondTable of rows shaped like ``table_rows`` (outcomes already
-    converted), each row's count added as its weight."""
-    return CondTable(((tuple(ctx.split(" ")), out) for ctx, out, _c in rows),
-                     [c for _ctx, _out, c in rows])

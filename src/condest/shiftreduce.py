@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import modelfile
-from .interp import CondTable, InterpolatedCondDist, fit_interpolation
+from .interp import (InterpolatedCondDist, code_columns, count_tables,
+                     fit_interpolation, table_columns)
 from .trees import Tree, debinarize, postorder, tree_yield
 
 log = logging.getLogger(__name__)
@@ -29,6 +30,12 @@ REDUCE1 = "reduce1"
 REDUCE2 = "reduce2"
 # How many stack items each move kind pops before pushing its label.
 ARITY = {SHIFT: 0, REDUCE1: 1, REDUCE2: 2}
+
+# Each count table as (context fields, outcome field) of an event: indices
+# into (s1, s2, lookahead, move).
+S1, S2, LA, MOVE = range(4)
+TABLES = {"joint": ((S1, S2), MOVE),        # P(m | s1, s2)
+          "full": ((S1, S2, LA), MOVE)}     # P(m | s1, s2, w)
 
 
 class ParserError(ValueError):
@@ -193,14 +200,23 @@ def oracle_events(trees):
         yield from replay(oracle_moves(t), tree_yield(t))
 
 
+def _count(trees, names):
+    """The ``names`` tables of TABLES over the trees' oracle events, and
+    the dicts that number their fields: one for the stack symbols and
+    look-aheads, one for the moves."""
+    syms, moves = {}, {}
+    ids = (syms, syms, syms, moves)
+    events = code_columns(oracle_events(trees), ids)
+    return ids, count_tables({name: TABLES[name] for name in names}, ids,
+                             dict.fromkeys(names, (events, None)))
+
+
 def estimate_joint(train):
     """Relative-frequency move model P(m | s1, s2) from binarized trees."""
     trees = list(train)
     if not trees:
         raise ParserError("empty training corpus")
-    table = CondTable(((s1, s2), move)
-                      for s1, s2, _la, move in oracle_events(trees))
-    return MoveModel(trees[0].label, table)
+    return MoveModel(trees[0].label, _count(trees, ["joint"])[1]["joint"])
 
 
 def estimate_conditional(train, heldout):
@@ -210,13 +226,13 @@ def estimate_conditional(train, heldout):
     held = list(heldout)
     if not trees or not held:
         raise ParserError("empty training or heldout corpus")
-    events = list(oracle_events(trees))
-    full = CondTable(((s1, s2, la), move) for s1, s2, la, move in events)
-    coarse = CondTable(((s1, s2), move) for s1, s2, _la, move in events)
+    ids, tables = _count(trees, TABLES)
+    events = code_columns(oracle_events(held), ids, grow=False)
+    ctx, out = TABLES["full"]
     mixture = fit_interpolation(
-        _cond_components(coarse, full),
-        (((s1, s2, la), move) for s1, s2, la, move in oracle_events(held)))
-    return MoveModel(trees[0].label, coarse, mixture)
+        _cond_components(tables["joint"], tables["full"]),
+        [events[f] for f in ctx], events[out])
+    return MoveModel(trees[0].label, tables["joint"], mixture)
 
 
 def parse_log_prob(model, moves, words):
@@ -383,30 +399,34 @@ def _read_move(text):
 
 SR_SCHEMA = {
     "meta": {"flavor": modelfile.one_of("joint", "conditional"), "start": str},
-    "joint": (str, _read_move, modelfile.number),  # s1 s2, move, count
-    "full": (str, _read_move, modelfile.number),   # s1 s2 w, move, count
+    # [joint] and [full]: context, move, count
+    **{name: (modelfile.context(len(ctx)), _read_move, modelfile.number)
+       for name, (ctx, _out) in TABLES.items()},
     "lambdas": (int, modelfile.number, modelfile.number),  # bucket, weights
 }
 
 
 def save_sr(model, path):
-    full, lambdas = CondTable(), {}
-    if model.cond_mixture is not None:
-        (_joint, _), (full, _) = model.cond_mixture.components
-        lambdas = model.cond_mixture.lambdas
+    mixture = model.cond_mixture
+    lambdas = {} if mixture is None else mixture.lambdas
     modelfile.write(path, [
         ("meta", [("flavor", model.flavor), ("start", model.start)]),
         ("joint", modelfile.table_rows(model.joint_table, " ".join)),
-        ("full", modelfile.table_rows(full, " ".join)),
+        ("full", [] if mixture is None else modelfile.table_rows(
+            mixture.components[-1][0], " ".join)),
         ("lambdas", [(b,) + lambdas[b] for b in sorted(lambdas)])])
 
 
 def load_sr(path):
     f = modelfile.read(path, SR_SCHEMA, ParserError)
-    joint = modelfile.fill_table(f["joint"])
+    syms, moves = {}, {}
+    ids = (syms, syms, syms, moves)
+    tables = count_tables(TABLES, ids, {
+        name: table_columns(f[name], (*ctx, out), ids)
+        for name, (ctx, out) in TABLES.items()})
     mixture = None
     if f["meta"]["flavor"] == "conditional":
-        full = modelfile.fill_table(f["full"])
-        mixture = InterpolatedCondDist(_cond_components(joint, full), {
-            b: tuple(ls) for b, *ls in f["lambdas"]})
-    return MoveModel(f["meta"]["start"], joint, mixture)
+        mixture = InterpolatedCondDist(
+            _cond_components(tables["joint"], tables["full"]),
+            {b: tuple(ls) for b, *ls in f["lambdas"]})
+    return MoveModel(f["meta"]["start"], tables["joint"], mixture)

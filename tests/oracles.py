@@ -21,7 +21,7 @@ from condest.evaluation import (BootstrapResult, EvalError,
                                 bootstrap_iterations, bootstrap_seed,
                                 sentence_rows)
 from condest.hmm import END, UNK, UNK_THRESHOLD, TaggingError
-from condest.interp import InterpolatedCondDist, bucket_id
+from condest.interp import Coder, CondTable, InterpolatedCondDist, bucket_id
 from condest.pcfg import (LINE_SEARCH_SHRINK, MAX_SHRINKS, NEG_INF, ZERO_EXP,
                           AscentConfig, EstimationError, Pcfg, Production,
                           SentenceExpectations, extract_counts,
@@ -509,6 +509,22 @@ class DictCondTable:
         for ctx, d in self.counts.items():
             for out, c in d.items():
                 yield ctx, out, c
+
+
+def coded_table(pairs, width, weights=None):
+    """An ``interp.CondTable`` of (context, outcome) pairs, every context
+    ``width`` symbols long: each field's symbols, and the outcomes, are
+    numbered in order of first appearance.  Pair i adds ``weights[i]`` if
+    given."""
+    pairs = list(pairs)
+    assert all(len(ctx) == width for ctx, _out in pairs)
+    fields, outs = [{} for _ in range(width)], {}
+    rows = [[ids.setdefault(sym, len(ids)) for ids, sym in zip(fields, ctx)]
+            for ctx, _out in pairs]
+    cols = [outs.setdefault(out, len(outs)) for _ctx, out in pairs]
+    coder = Coder(fields)
+    return CondTable(coder, coder.code(np.array(rows, dtype=np.int64).reshape(
+        -1, width).T), cols, list(outs), weights)
 
 
 # ---------------------------------------------------------------------------

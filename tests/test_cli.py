@@ -688,13 +688,20 @@ def _short_lambda_row(lines):
     return i + 1
 
 
+def _context_fields(section, width):
+    """The first row of ``section`` with its context cut or padded to
+    ``width`` symbols."""
+    def edit(lines):
+        i = lines.index(section) + 1
+        context, move, count = lines[i].split("\t")
+        symbols = (context.split(" ") + ["X"] * width)[:width]
+        lines[i] = "\t".join((" ".join(symbols), move, count))
+        return i + 1
+    return edit
+
+
 # A model that reads but is not a valid model: the message names the file
 # but no line.
-
-def _short_context(lines):
-    i = lines.index("[table:full0]") + 1
-    context, outcome, count = lines[i].split("\t")
-    lines[i] = "\t".join((context.split(" ")[0], outcome, count))
 
 
 def _start_without_rules(lines):
@@ -726,14 +733,17 @@ COMMANDS = {"tagger.txt": "tag --model", "sr.txt": "parse-sr --model",
     ("sr.txt", _unknown_move),
     ("sr.txt", _bad_count),
     ("tagger.txt", _short_lambda_row),
-    ("tagger.txt", _short_context),
+    ("tagger.txt", _context_fields("[table:full0]", 1)),
+    ("sr.txt", _context_fields("[joint]", 1)),
+    ("sr.txt", _context_fields("[joint]", 3)),
     ("grammar.txt", _start_without_rules),
     ("grammar.txt", _weights_off_one),
     ("grammar.txt", _unary_cycle),
 ], ids=["one-field-row", "row-before-header", "unknown-section",
         "repeated-section", "no-variant", "bad-variant", "sr-no-start",
         "sr-bad-flavor", "sr-unknown-move", "sr-bad-count",
-        "short-lambda-row", "short-context", "start-without-rules",
+        "short-lambda-row", "short-context", "sr-short-context",
+        "sr-long-context", "start-without-rules",
         "weights-off-one", "unary-cycle"])
 def test_malformed_model_exits_1(saved_models, tmp_path, capsys, model, edit):
     lines = (saved_models / model).read_text().split("\n")[:-1]

@@ -9,7 +9,7 @@ from condest import interp, toydata
 from condest.hmm import (END, MIXTURES, TABLES, UNK, VARIANT_FACTORS,
                          VARIANTS, TaggedCorpus, TaggerModel, TaggingError,
                          collect_tables, fit_deleted_interpolation,
-                         load_tagger, read_tagged, save_tagger, table_pairs,
+                         load_tagger, read_tagged, save_tagger,
                          tagging_accuracy, write_tagged)
 from oracles import (ReferenceTagger, bench_module, brute_tag_decode,
                      brute_tag_marginals, brute_tag_partition,
@@ -85,16 +85,24 @@ TAGGED = st.lists(st.lists(st.tuples(st.sampled_from(WORDS),
 @given(train=TAGGED, heldout=TAGGED)
 def test_tables_and_events_match_add_loop(train, heldout):
     """Every table in its insertion order, and the pr0/pr1 heldout events,
-    equal those of one add per table and position (tests/oracles.py)."""
+    equal those of one add per table and position (tests/oracles.py); the
+    heldout events as the fits take them, coded by the tables' word and
+    tag ids, a tag training never saw as -1."""
     tb = collect_tables(train)
     word_counts, want = collect_tables_loop(train)
     assert list(tb.word_counts.items()) == list(word_counts.items())
     assert list(TABLES) == list(want)
     for name, table in want.items():
         assert _rows(getattr(tb, name)) == _rows(table)
+    positions = [col.tolist() for col in tb.positions(heldout)]
+    ids = (tb.words, tb.tags) * 2
     for target, names in MIXTURES.items():
-        events = list(table_pairs(tb.walk(heldout), names[-1]))
-        assert events == heldout_events_loop(tb, heldout, target)
+        ctx, out = TABLES[names[-1]]
+        events = list(zip(zip(*(positions[f] for f in ctx)), positions[out]))
+        assert events == [
+            (tuple(ids[f].get(s, -1) for f, s in zip(ctx, c)),
+             tb.tags.get(t, -1))
+            for c, t in heldout_events_loop(tb, heldout, target)]
 
 
 def test_tables_match_add_loop_at_scale(tmp_path):
@@ -132,7 +140,8 @@ def test_add_to_counted_table_matches_add_loop(train, name, before, after):
     """Counts added to a ``collect_tables`` table, first while its contexts
     are still unmade, then after a query, read as the same adds on the
     ``collect_tables_loop`` table."""
-    got = getattr(collect_tables(train), name)
+    tables = collect_tables(train)
+    got, ids = getattr(tables, name), (dict(tables.words), dict(tables.tags))
     want = collect_tables_loop(train)[1][name]
     width = len(TABLES[name][0])
     for adds in (before, after):
@@ -143,6 +152,8 @@ def test_add_to_counted_table_matches_add_loop(train, name, before, after):
         outs = sorted({o for _c, o, _k in want.items()} | {"new"})
         index = {o: i for i, o in enumerate(reversed(outs))}
         assert _reads(got, ctxs, index) == _reads(want, ctxs, index)
+    # the word and tag ids the sibling tables share are never extended
+    assert (tables.words, tables.tags) == ids
 
 
 def _lattice_or_error(lattice, words):

@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 from condest import toydata
 from condest.hmm import collect_tables, fit_deleted_interpolation
-from condest.interp import (CondTable, InterpolatedCondDist, _count_pairs,
-                            bucket_id, fit_interpolation, fit_mixture_weights)
+from condest.interp import (InterpolatedCondDist, _count_pairs, bucket_id,
+                            count_tables, fit_interpolation,
+                            fit_mixture_weights)
 from condest.shiftreduce import estimate_conditional, oracle_moves
 from condest.trees import Corpus, binarize, tree_yield
-from oracles import (DictCondTable, collect_tables_loop,
+from oracles import (DictCondTable, coded_table, collect_tables_loop,
                      fit_mixture_weights_loop, fit_tagger_mixture_loop,
                      replay_reference)
 
@@ -24,7 +25,7 @@ def test_bucket_id():
 
 
 def test_cond_table():
-    t = CondTable()
+    t = coded_table([], 1)
     t.add(("c",), "x")
     t.add(("c",), "x")
     t.add(("c",), "y")
@@ -35,18 +36,25 @@ def test_cond_table():
     assert t.dist(("c",)) == {"x": pytest.approx(2 / 3), "y": pytest.approx(1 / 3)}
     assert t.dist(("missing",)) == {}
     assert sorted(t.items()) == [(("c",), "x", 2.0), (("c",), "y", 1.0)]
+    with pytest.raises(ValueError, match="2 fields, expected 1"):
+        t.add(("c", "d"), "x")
 
 
-CONTEXT = st.one_of(st.tuples(st.sampled_from("abc")),
-                    st.tuples(st.sampled_from("ab"), st.sampled_from("ab")))
-PAIRS = st.lists(st.tuples(CONTEXT, st.sampled_from("xyz")))
+# Contexts of one table share their length: one symbol of three, or two of
+# two each.
+CONTEXTS = {1: st.tuples(st.sampled_from("abc")),
+            2: st.tuples(st.sampled_from("ab"), st.sampled_from("ab"))}
+PAIRS = st.sampled_from((1, 2)).flatmap(lambda width: st.tuples(
+    st.just(width), st.lists(st.tuples(CONTEXTS[width],
+                                       st.sampled_from("xyz")))))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(pairs=PAIRS)
-def test_cond_table_from_pairs_equals_add_loop(pairs):
-    got = CondTable(iter(pairs))
-    want = CondTable()
+@given(case=PAIRS)
+def test_cond_table_from_pairs_equals_add_loop(case):
+    width, pairs = case
+    got = coded_table(iter(pairs), width)
+    want = coded_table([], width)
     for ctx, out in pairs:
         want.add(ctx, out)
     assert list(got.items()) == list(want.items())
@@ -63,14 +71,19 @@ def _same_table(got, want):
     ctxs = list(want.contexts())
     assert list(got.contexts()) == ctxs
     assert list(got.items()) == list(want.items())
-    asked = ctxs + [("missing",)]
+    # an unseen symbol, and each context cut short: a context of another
+    # length is unseen, never a row whose code its symbols would make
+    asked = ctxs + [("missing",)] + [c[:-1] for c in ctxs if len(c) > 1]
     pairs = [(c, o) for c in asked for o in "xyzw"]
     for ctx in asked:
         assert got.total(ctx) == want.total(ctx)
         assert list(got.dist(ctx).items()) == list(want.dist(ctx).items())
     assert [got.prob(c, o) for c, o in pairs] == \
         [want.prob(c, o) for c, o in pairs]
-    assert got.probs([c for c, _o in pairs], [o for _c, o in pairs]
+    outs = {o: i for i, o in enumerate(got._outs)}
+    assert got.probs(got.code_rows(np.array([got.coder.encode(c)
+                                             for c, _o in pairs])),
+                     [outs.get(o, -1) for _c, o in pairs]
                      ).tolist() == [want.prob(c, o) for c, o in pairs]
     index = {"z": 0, "x": 1}   # y left out
     assert got.matrix(asked, index).tobytes() == \
@@ -79,20 +92,30 @@ def _same_table(got, want):
 
 WEIGHT = st.one_of(st.just(1.0), st.sampled_from((0.1, 0.2, 0.3, 0.0)),
                    st.floats(-2.0, 5.0))
-ROWS = st.lists(st.tuples(CONTEXT, st.sampled_from("xyz"), WEIGHT))
+
+
+def _rows(width):
+    return st.lists(st.tuples(CONTEXTS[width], st.sampled_from("xyz"),
+                              WEIGHT))
+
+
+ROWS = st.sampled_from((1, 2)).flatmap(
+    lambda width: st.tuples(st.just(width), _rows(width), _rows(width)))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(rows=ROWS, later=ROWS, weighted=st.booleans())
+@given(case=ROWS, weighted=st.booleans())
 # a total added in input order, (0.1 + 0.2) + 0.6, differs in the last bit
 # from the sum of the counts, 0.7 + 0.2; the add must go on from the former
-@example(rows=[(("a",), "x", 0.1), (("a",), "y", 0.2), (("a",), "x", 0.6)],
-         later=[(("a",), "z", 1.0)], weighted=True)
-def test_coded_table_matches_dict_table(rows, later, weighted):
+@example(case=(1, [(("a",), "x", 0.1), (("a",), "y", 0.2), (("a",), "x", 0.6)],
+               [(("a",), "z", 1.0)]), weighted=True)
+def test_coded_table_matches_dict_table(case, weighted):
     """Counted pairs or weighted rows, then ``add`` calls after a query
     (as criterion 6 makes): the coded table reads as the dict table does."""
+    width, rows, later = case
     pairs = [(ctx, out) for ctx, out, _k in rows]
-    got = CondTable(pairs, [k for _c, _o, k in rows] if weighted else None)
+    got = coded_table(pairs, width,
+                      [k for _c, _o, k in rows] if weighted else None)
     want = DictCondTable()
     for ctx, out, k in rows:
         want.add(ctx, out, k if weighted else 1.0)
@@ -113,6 +136,11 @@ def test_wide_codes_count_alike():
     wide = _count_pairs(rows * 2 ** 57, cols, weights)   # 50 needs 6 bits
     assert wide[0].tolist() == (narrow[0] * 2 ** 57).tolist()
     assert [a.tobytes() for a in wide[1:]] == \
+        [a.tobytes() for a in narrow[1:]]
+    # row codes up to 5 * 2 ** 60, whose pair codes would overflow an int64
+    widest = _count_pairs(rows * 2 ** 60, cols, weights)
+    assert widest[0].tolist() == [r * 2 ** 60 for r in narrow[0].tolist()]
+    assert [a.tobytes() for a in widest[1:]] == \
         [a.tobytes() for a in narrow[1:]]
 
 
@@ -157,8 +185,8 @@ def test_mixture_skips_all_zero_events():
 
 
 def test_interpolated_dist():
-    coarse = CondTable()
-    fine = CondTable()
+    coarse = coded_table([], 1)
+    fine = coded_table([], 2)
     coarse.add(("c",), "x", 3.0)
     coarse.add(("c",), "y", 1.0)
     fine.add(("c", "d"), "x", 1.0)
@@ -189,8 +217,9 @@ def test_mixture_prob_is_its_dist(rows, k, lam):
     them on any Python version.  Buckets above 2 take uniform weights."""
     places = [(0,), (0, 1), (0, 1, 2)][-k:]
     mix = InterpolatedCondDist(
-        [(CondTable([(tuple(c[j] for j in idx), o) for c, o, _w in rows],
-                    [w for _c, _o, w in rows]), idx) for idx in places],
+        [(coded_table([(tuple(c[j] for j in idx), o) for c, o, _w in rows],
+                      len(idx), [w for _c, _o, w in rows]), idx)
+         for idx in places],
         {b: lam[:k] for b in (0, 1, 2)})
     for ctx in [c for c, _o, _w in rows] + [("a", "b", "q")]:
         for out in "xyzw":
@@ -201,19 +230,36 @@ def test_mixture_prob_is_its_dist(rows, k, lam):
 
 
 def test_fit_interpolation():
-    coarse = CondTable()
-    fine = CondTable()
-    for _ in range(4):
-        coarse.add(("c",), "x")
-        fine.add(("c", "d"), "x")
-    coarse.add(("c",), "y")
-    fine.add(("c", "e"), "y")
-    mix = fit_interpolation([(coarse, (0,)), (fine, (0, 1))],
-                            [(("c", "d"), "x"), (("c", "e"), "y")])
+    """Components sharing each field's dict, fitted on heldout events
+    coded by those dicts (-1 for a symbol training never saw): the fit is
+    the plain loop's over dict tables, bit for bit."""
+    train = [("c", "d", "x")] * 4 + [("c", "e", "y")]
+    held = [("c", "d", "x"), ("c", "e", "y"), ("c", "q", "x"),
+            ("c", "e", "z")]
+    ids = [{}, {}, {}]    # first symbol, second symbol, outcome
+    columns = [np.array([d.setdefault(s, len(d)) for s in col])
+               for d, col in zip(ids, zip(*train))]
+    decl = {"coarse": ((0,), 2), "fine": ((0, 1), 2)}
+    tables = count_tables(decl, ids, dict.fromkeys(decl, (columns, None)))
+    coded = [np.array([d.get(s, -1) for s in col])
+             for d, col in zip(ids, zip(*held))]
+    mix = fit_interpolation([(tables["coarse"], (0,)),
+                             (tables["fine"], (0, 1))], coded[:2], coded[2])
     for lam in mix.lambdas.values():
         assert sum(lam) == pytest.approx(1.0, abs=1e-12)
     for a, b in zip(mix.trace, mix.trace[1:]):
         assert b >= a - 1e-9
+
+    coarse, fine = DictCondTable(), DictCondTable()
+    for a, b, out in train:
+        coarse.add((a,), out)
+        fine.add((a, b), out)
+    lambdas, trace = fit_mixture_weights_loop(
+        [(bucket_id(fine.total((a, b))),
+          (coarse.prob((a,), out), fine.prob((a, b), out)))
+         for a, b, out in held], 2)
+    assert (list(mix.lambdas.items()), mix.trace) == \
+        (list(lambdas.items()), trace)
 
 
 def _fit(fit, events, k, max_iters, tol):

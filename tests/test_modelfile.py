@@ -2,6 +2,8 @@
 
 import io
 import os
+import random
+import re
 import tempfile
 from collections import namedtuple
 from contextlib import redirect_stderr
@@ -185,3 +187,32 @@ def test_leaf_that_is_a_label_is_refused(data):
             "error: tree 0: leaf %r is also a nonterminal label\n"
             % trees.trees[0].label)
         assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("name, section, width", [
+    ("tagger", "[table:full0]", 2), ("sr", "[joint]", 2),
+    ("sr", "[full]", 3)])
+@pytest.mark.parametrize("cut", [-1, 1])
+def test_context_length_is_checked_at_its_line(tmp_path, name, section,
+                                               width, cut):
+    """A table row whose context has one symbol too few or too many is
+    refused at its line, naming both counts."""
+    trees = Corpus([random_binary_tree(random.Random(0), ["a", "b", "a"])])
+    tagged = TaggedCorpus([(("a", "b"), ("X", "Y"))])
+    model = (estimate_conditional(trees, trees) if name == "sr" else
+             TaggerModel.train("conditional", tagged, tagged))
+    path = str(tmp_path / "model")
+    KINDS[name].save(model, path)
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().split("\n")[:-1]
+    i = lines.index(section) + 1
+    context, outcome, count = lines[i].split("\t")
+    symbols = context.split(" ")
+    symbols = symbols[:cut] if cut < 0 else symbols + ["a"] * cut
+    lines[i] = "\t".join((" ".join(symbols), outcome, count))
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("".join(line + "\n" for line in lines))
+    with pytest.raises(KINDS[name].error, match="^%s:%d: .* has %d fields, "
+                       "expected %d$" % (re.escape(path), i + 1, width + cut,
+                                         width)):
+        KINDS[name].load(path)

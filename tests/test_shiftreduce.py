@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from condest import toydata
+from condest.interp import bucket_id
 from condest.shiftreduce import (REDUCE1, REDUCE2, SHIFT, STAR, BeamConfig,
                                  Move, ParserError, _Stacks, beam_parse,
                                  estimate_conditional, estimate_joint,
@@ -15,9 +16,10 @@ from condest.shiftreduce import (REDUCE1, REDUCE2, SHIFT, STAR, BeamConfig,
                                  reduce2, replay, save_sr, shift,
                                  tree_from_moves)
 from condest.trees import (Corpus, Tree, binarize, debinarize, parse_trees,
-                           tree_yield, write_tree)
-from oracles import (apply_move, beam_parse_reference, brute_sr_best,
-                     enumerate_sr_parses, random_binary_tree,
+                           read_bracketed, tree_yield, write_tree)
+from oracles import (DictCondTable, apply_move, beam_parse_reference,
+                     bench_module, brute_sr_best, enumerate_sr_parses,
+                     fit_mixture_weights_loop, random_binary_tree,
                      random_nary_tree, replay_reference, stack_top2)
 
 
@@ -498,3 +500,80 @@ def test_save_load_round_trip(tmp_path):
                 assert set(got) == set(want)
                 for mv in want:
                     assert got[mv] == pytest.approx(want[mv])
+
+
+def _reference_fit(train, heldout):
+    """The conditional mixture's (lambdas, trace) from dict tables over
+    the training events and a plain-loop EM over the heldout events."""
+    coarse, full = DictCondTable(), DictCondTable()
+    for s1, s2, la, move in oracle_events(train):
+        coarse.add((s1, s2), move)
+        full.add((s1, s2, la), move)
+    lambdas, trace = fit_mixture_weights_loop(
+        [(bucket_id(full.total((s1, s2, la))),
+          (coarse.prob((s1, s2), move), full.prob((s1, s2, la), move)))
+         for s1, s2, la, move in oracle_events(heldout)], 2)
+    return coarse, full, (list(lambdas.items()), trace)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_conditional_fit_with_unseen_heldout_symbols(seed):
+    """Heldout trees with labels and words training never saw: the fit is
+    the reference's, bit for bit, and coding the heldout events leaves
+    the training dicts, whose sizes the coders read, as they were."""
+    rng = random.Random(seed)
+    train = [binarize(random_nary_tree(rng, terminals=("a", "b")))
+             for _ in range(3)]
+    heldout = [binarize(random_nary_tree(rng, labels=("S", "X", "Q"),
+                                         terminals=("a", "b", "c")))
+               for _ in range(3)]
+    mix = estimate_conditional(train, heldout).cond_mixture
+    *_tables, want = _reference_fit(train, heldout)
+    assert repr((list(mix.lambdas.items()), mix.trace)) == repr(want)
+    for table, _places in mix.components:
+        assert [len(ids) for ids in table.coder.ids] == table.coder.radix
+
+
+def test_tables_match_add_loop_at_scale(tmp_path):
+    """The benchmark's sr-scale corpora (bench/gen.py, seed 44): both
+    flavors' tables equal those of one add per oracle event (items in
+    context order, and totals), the conditional mixture's lambdas and trace
+    are those of the plain-loop fit over the reference tables, and a model
+    file round trip gives the same move view, to the bit, at every observed
+    context."""
+    files, _sizes = bench_module("gen").gen_sr(44, str(tmp_path))
+
+    def corpus(part):
+        with open(files[part], encoding="utf-8") as f:
+            return Corpus([binarize(x) for x in read_bracketed(f.read())])
+
+    train, heldout = corpus("train"), corpus("heldout")
+    coarse, full, fit = _reference_fit(train, heldout)
+    joint = estimate_joint(train)
+    cond = estimate_conditional(train, heldout)
+    (cond_coarse, _), (cond_full, _) = cond.cond_mixture.components
+    for got, want in ((joint.joint_table, coarse), (cond_coarse, coarse),
+                      (cond_full, full)):
+        assert list(got.items()) == list(want.items())
+        assert [(c, got.total(c)) for c in got.contexts()] == \
+            list(want.totals.items())
+    assert cond.joint_table is cond_coarse
+    assert joint.joint_table is not cond_coarse
+
+    assert repr((list(cond.cond_mixture.lambdas.items()),
+                 cond.cond_mixture.trace)) == repr(fit)
+
+    for model, contexts in ((joint, [(*c, None) for c in coarse.contexts()]),
+                            (cond, list(full.contexts()))):
+        path = tmp_path / ("sr_%s.txt" % model.flavor)
+        save_sr(model, path)
+        loaded = load_sr(path)
+        assert loaded.observed_pairs == model.observed_pairs
+        for ctx in contexts:
+            # the file lists a context's moves sorted, so the shift dict
+            # may list its labels in another order
+            (reduces, shifts), (want, want_shifts) = (
+                loaded.move_view(*ctx), model.move_view(*ctx))
+            assert repr((reduces, sorted(shifts.items()))) == \
+                repr((want, sorted(want_shifts.items())))
