@@ -108,6 +108,6 @@ def read(path, schema, error):
 
 
 def table_rows(table, outcome=str):
-    """A CondTable's rows: space-joined context, outcome, count."""
-    return [(" ".join(ctx), outcome(out), c)
-            for ctx, out, c in sorted(table.items())]
+    """A CondTable's rows in its entry order, so a loaded table counts them
+    in the order of the saved one: space-joined context, outcome, count."""
+    return [(" ".join(ctx), outcome(out), c) for ctx, out, c in table.items()]

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import modelfile
-from .trees import Tree, postorder, tree_yield
+from .trees import Tree
 
 log = logging.getLogger(__name__)
 
@@ -117,15 +117,29 @@ class AscentConfig:
             raise ValueError("AscentConfig fields must be positive")
 
 
+def _walk(t, counts):
+    """One walk of t: adds one to ``counts`` per rule (lhs, rhs labels), in
+    reverse post-order, a new key at its first use; returns the leaves."""
+    leaves, stack = [], [t]
+    while stack:
+        node = stack.pop()
+        kids = node.children
+        if kids:
+            rule = (node.label, tuple([c.label for c in kids]))
+            counts[rule] = counts.get(rule, 0) + 1
+            stack += kids
+        else:
+            leaves.append(node.label)
+    leaves.reverse()
+    return leaves
+
+
 def tree_productions(t):
     """Usage counts of productions in a single tree, keyed in reverse
     post-order: that order fixes the sum order of ``tree_log_prob``."""
-    out = defaultdict(int)
-    for node in reversed(postorder(t)):
-        if node.children:
-            out[Production(node.label,
-                           tuple(c.label for c in node.children))] += 1
-    return out
+    counts = {}
+    _walk(t, counts)
+    return defaultdict(int, ((Production(*r), c) for r, c in counts.items()))
 
 
 def extract_counts(corpus):
@@ -134,20 +148,18 @@ def extract_counts(corpus):
     trees = list(corpus)
     if not trees:
         raise EstimationError("empty corpus")
-    counts = defaultdict(float)
-    for t in trees:
-        for r, c in tree_productions(t).items():
-            counts[r] += c
-    labels = {r.lhs for r in counts}
-    for sid, t in enumerate(trees):
-        clash = sorted(labels.intersection(tree_yield(t)))
-        if clash:
+    counts = {}
+    yields = [_walk(t, counts) for t in trees]
+    labels = {lhs for lhs, _ in counts}
+    for sid, leaves in enumerate(yields):
+        if not labels.isdisjoint(leaves):
             raise EstimationError("tree %r: leaf %r is also a nonterminal "
-                                  "label" % (sid, clash[0]))
+                                  "label" % (sid, min(labels & set(leaves))))
     totals = defaultdict(float)
-    for r, c in counts.items():
-        totals[r.lhs] += c
-    return RuleCounts(dict(counts), dict(totals), start=trees[0].label)
+    for (lhs, _), c in counts.items():
+        totals[lhs] += c
+    return RuleCounts({Production(*r): float(c) for r, c in counts.items()},
+                      dict(totals), start=trees[0].label)
 
 
 def estimate_mle(counts):
@@ -375,13 +387,14 @@ class _Treebank:
         trees, yields = {}, {}
         self.trees, self.tree_ids, self.yield_ids = [], [], []
         for t in corpus:
-            tid = trees.setdefault(tuple(tree_productions(t).items()),
-                                   len(trees))
+            counts = {}
+            leaves = _walk(t, counts)
+            tid = trees.setdefault(tuple(counts.items()), len(trees))
             if tid == len(self.trees):
                 self.trees.append(t)
             self.tree_ids.append(tid)
             self.yield_ids.append(
-                yields.setdefault(tuple(tree_yield(t)), len(yields)))
+                yields.setdefault(tuple(leaves), len(yields)))
         self.yields = list(yields)
 
     def stats(self, g):

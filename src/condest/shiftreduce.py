@@ -19,7 +19,7 @@ from typing import NamedTuple
 from . import modelfile
 from .interp import (InterpolatedCondDist, code_columns, count_tables,
                      fit_interpolation, table_columns)
-from .trees import Tree, debinarize, postorder, tree_yield
+from .trees import Tree, debinarize, postorder
 
 log = logging.getLogger(__name__)
 
@@ -66,22 +66,8 @@ def _cut(stack, move, floor=0):
 
 
 def oracle_moves(t):
-    """The move sequence whose replay from the empty stack rebuilds t.
-
-    Requires a binarized tree (every internal node unary or binary); ends
-    with the accepting shift of STAR.
-    """
-    kinds = {arity: kind for kind, arity in ARITY.items()}
-    out = []
-    for node in postorder(t):
-        kind = kinds.get(len(node.children))
-        if kind is None:
-            raise ParserError(
-                "node %r has %d children; binarize first"
-                % (node.label, len(node.children)))
-        out.append(Move(kind, node.label))
-    out.append(shift(STAR))
-    return out
+    """The oracle moves of t, as ``oracle_events([t])`` gives them."""
+    return [move for _s1, _s2, _lookahead, move in oracle_events([t])]
 
 
 def tree_from_moves(moves):
@@ -195,9 +181,40 @@ def replay(moves, words):
 
 
 def oracle_events(trees):
-    """(s1, s2, lookahead, move) along each tree's oracle moves, in order."""
+    """(s1, s2, lookahead, move) along the moves that rebuild each binarized
+    tree from the empty stack, ending with the accepting shift of STAR.  A
+    tree's one walk meets its nodes in reverse post-order, each with the two
+    labels below it on the stack, so a move's look-ahead, the next leaf
+    (STAR after the last), is the last leaf the walk met."""
+    kinds = {arity: kind for kind, arity in ARITY.items()}
+    made = ({}, {}, {})   # one Move per (arity, label)
     for t in trees:
-        yield from replay(oracle_moves(t), tree_yield(t))
+        out = [(t.label, STAR, STAR, shift(STAR))]
+        todo, lookahead = [(t, STAR, STAR)], STAR
+        while todo:
+            node, b1, b2 = todo.pop()
+            label, kids = node.label, node.children
+            n = len(kids)
+            if n > 2:   # name the first such node in post-order
+                node = next(x for x in postorder(t) if len(x.children) > 2)
+                raise ParserError("node %r has %d children; binarize first"
+                                  % (node.label, len(node.children)))
+            move = made[n].get(label)
+            if move is None:
+                move = made[n][label] = Move(kinds[n], label)
+            if n == 2:
+                left, right = kids
+                out.append((right.label, left.label, lookahead, move))
+                todo.append((left, b1, b2))
+                todo.append((right, left.label, b1))
+            elif n:
+                out.append((kids[0].label, b1, lookahead, move))
+                todo.append((kids[0], b1, b2))
+            else:
+                lookahead = label
+                out.append((b1, b2, lookahead, move))
+        out.reverse()
+        yield from out
 
 
 def _count(trees, names):

@@ -24,12 +24,12 @@ from condest.hmm import END, UNK, UNK_THRESHOLD, TaggingError
 from condest.interp import Coder, CondTable, InterpolatedCondDist, bucket_id
 from condest.pcfg import (LINE_SEARCH_SHRINK, MAX_SHRINKS, NEG_INF, ZERO_EXP,
                           AscentConfig, EstimationError, Pcfg, Production,
-                          SentenceExpectations, extract_counts,
-                          inside_outside, tree_log_prob, tree_productions)
+                          RuleCounts, SentenceExpectations, inside_outside,
+                          tree_log_prob)
 from condest.shiftreduce import (ARITY, SHIFT, STAR, BeamConfig, Move,
                                  ParserError, shift, tree_from_moves)
 from condest.trees import (MARKER, HeadRules, Tree, TreebankError,
-                           tree_yield)
+                           postorder, tree_yield)
 
 
 BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
@@ -44,6 +44,43 @@ def bench_module(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# ---------------------------------------------------------------------------
+# PCFG: rule counts, one tree at a time over its post-order and its yield,
+# kept verbatim as the reference for the one-walk counts of ``pcfg``.
+
+def tree_productions_reference(t):
+    """Usage counts of productions in a single tree, keyed in reverse
+    post-order: that order fixes the sum order of ``tree_log_prob``."""
+    out = defaultdict(int)
+    for node in reversed(postorder(t)):
+        if node.children:
+            out[Production(node.label,
+                           tuple(c.label for c in node.children))] += 1
+    return out
+
+
+def extract_counts_reference(corpus):
+    """Exact production usage counts over a corpus of stripped trees; a
+    leaf that is also a node label would be read as a nonterminal."""
+    trees = list(corpus)
+    if not trees:
+        raise EstimationError("empty corpus")
+    counts = defaultdict(float)
+    for t in trees:
+        for r, c in tree_productions_reference(t).items():
+            counts[r] += c
+    labels = {r.lhs for r in counts}
+    for sid, t in enumerate(trees):
+        clash = sorted(labels.intersection(tree_yield(t)))
+        if clash:
+            raise EstimationError("tree %r: leaf %r is also a nonterminal "
+                                  "label" % (sid, clash[0]))
+    totals = defaultdict(float)
+    for r, c in counts.items():
+        totals[r.lhs] += c
+    return RuleCounts(dict(counts), dict(totals), start=trees[0].label)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +137,7 @@ def enumerate_parses(g, x):
 
 def tree_prob(g, t):
     p = 1.0
-    for r, c in tree_productions(t).items():
+    for r, c in tree_productions_reference(t).items():
         p *= g.theta[r] ** c
     return p
 
@@ -114,7 +151,7 @@ def brute_marginal_and_expectations(g, x):
     expected = defaultdict(float)
     for t in parses:
         w = tree_prob(g, t) / z
-        for r, c in tree_productions(t).items():
+        for r, c in tree_productions_reference(t).items():
             expected[r] += w * c
     return math.log(z), dict(expected)
 
@@ -265,7 +302,7 @@ def estimate_mcle_reference(corpus, init, cfg=None, trace=None):
     ``trace`` if given) is monotone non-decreasing.
     """
     cfg = cfg or AscentConfig()
-    observed = extract_counts(corpus).counts
+    observed = extract_counts_reference(corpus).counts
     g = init
     tlp, marg, expected = corpus_stats_reference(g, corpus)
     cll = tlp - marg

@@ -19,9 +19,10 @@ from condest.pcfg import (AscentConfig, EstimationError, Pcfg, Production,
 from condest.trees import Corpus, Tree, parse_trees, tree_yield, write_tree
 from oracles import (bench_module, brute_marginal_and_expectations,
                      corpus_stats_reference, enumerate_parses,
-                     estimate_mcle_reference, inside_outside_reference,
-                     random_grammar, random_nary_tree, raw_cll,
-                     sample_tree_from_grammar, tree_prob,
+                     estimate_mcle_reference, extract_counts_reference,
+                     inside_outside_reference, random_grammar,
+                     random_nary_tree, raw_cll, sample_tree_from_grammar,
+                     tree_productions_reference, tree_prob,
                      viterbi_parse_reference)
 
 
@@ -54,6 +55,46 @@ def test_extract_counts(tiny_corpus):
 def test_extract_counts_empty():
     with pytest.raises(EstimationError, match="empty"):
         extract_counts(Corpus([]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6),
+       clash=st.booleans())
+def test_rule_counts_match_reference(seed, n, clash):
+    """The one-walk counts against the post-order and yield walks they
+    replace: each tree's counts and the corpus's, in the same key order,
+    with the same totals, start and leaf-clash error; and the treebank's
+    tree and yield numbering.  With ``clash`` a leaf may be ``X``, which is
+    also a node label wherever an ``X`` node is drawn."""
+    rng = random.Random(seed)
+    terminals = ("a", "b", "X") if clash else ("a", "b", "c")
+    corpus = [random_nary_tree(rng, terminals=terminals) for _ in range(n)]
+    for tree in corpus:
+        got, want = tree_productions(tree), tree_productions_reference(tree)
+        assert repr(got) == repr(want)
+    try:
+        want = extract_counts_reference(corpus)
+    except EstimationError as e:
+        with pytest.raises(EstimationError) as got:
+            extract_counts(corpus)
+        assert str(got.value) == str(e)
+        return
+    got = extract_counts(corpus)
+    assert got.counts == want.counts
+    assert list(got.counts) == list(want.counts)
+    assert list(got.lhs_totals.items()) == list(want.lhs_totals.items())
+    assert got.start == want.start
+    assert repr(got) == repr(want)   # the key types and every float
+    keys, yields = {}, {}
+    treebank = pcfg._Treebank(corpus)
+    assert treebank.tree_ids == [
+        keys.setdefault(tuple(tree_productions_reference(x).items()),
+                        len(keys)) for x in corpus]
+    assert treebank.yield_ids == [
+        yields.setdefault(tuple(tree_yield(x)), len(yields)) for x in corpus]
+    assert treebank.yields == list(yields)
+    assert [repr(x) for x in treebank.trees] == [
+        repr(corpus[treebank.tree_ids.index(k)]) for k in range(len(keys))]
 
 
 def test_estimate_mle(tiny_corpus):
